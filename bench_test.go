@@ -6,6 +6,7 @@ package dap
 // matrix construction, EMF iterations and the full DAP pipeline.
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -137,10 +138,7 @@ func BenchmarkEstimate(b *testing.B) {
 		values[i] = rng.Uniform(r, -0.8, 0)
 	}
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16, Scheme: core.SchemeCEMFStar, EMFMaxIter: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := buildAs[*core.DAP](b, core.MeanTask(), core.WithBudget(1, 1.0/16), core.WithScheme(core.SchemeCEMFStar), core.WithEMFMaxIter(100))
 	col, err := d.Collect(rng.Split(8, 1), values, adv, 0.25)
 	if err != nil {
 		b.Fatal(err)
@@ -148,7 +146,7 @@ func BenchmarkEstimate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Estimate(col); err != nil {
+		if _, err := d.Estimate(context.Background(), col); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,10 +206,7 @@ func BenchmarkDAPEndToEnd(b *testing.B) {
 		values[i] = rng.Uniform(r, -0.8, 0)
 	}
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16, Scheme: core.SchemeCEMFStar, EMFMaxIter: 60})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := buildAs[Runner](b, core.MeanTask(), core.WithBudget(1, 1.0/16), core.WithScheme(core.SchemeCEMFStar), core.WithEMFMaxIter(60))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -236,14 +231,11 @@ func BenchmarkKRRCollect(b *testing.B) {
 	cov := COVID19()
 	r := rng.New(1)
 	cats := cov.Sample(r, 5000)
-	f, err := core.NewFreqDAP(core.FreqParams{Eps: 1, Eps0: 0.25, K: cov.K(), Scheme: core.SchemeEMFStar, EMFMaxIter: 60})
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := buildAs[CatRunner](b, core.FrequencyTask(cov.K()), core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar), core.WithEMFMaxIter(60))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.RunFreq(rng.Split(3, uint64(i)), cats, []int{10}, 0.25); err != nil {
+		if _, err := f.RunCats(rng.Split(3, uint64(i)), cats, []int{10}, 0.25); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,10 +264,7 @@ func BenchmarkTheorem1Reduction(b *testing.B) {
 
 func BenchmarkAccountlessPerturbRound(b *testing.B) {
 	// Full user-side round: assignment, repeated perturbation.
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := buildAs[Collector](b, core.MeanTask(), core.WithBudget(1, 1.0/16), core.WithScheme(core.SchemeEMF))
 	r := rng.New(1)
 	values := make([]float64, 2000)
 	for i := range values {
@@ -290,7 +279,7 @@ func BenchmarkAccountlessPerturbRound(b *testing.B) {
 	}
 }
 
-// Guard: the facade constructors remain wired to the internal packages.
+// Guard: the facade remains wired to the internal packages.
 func TestFacadeEndToEnd(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
 	values := make([]float64, 4000)
@@ -300,10 +289,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		sum += values[i]
 	}
 	trueMean := sum / float64(len(values))
-	d, err := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[Runner](t, Mean(), WithBudget(1, 0.25), WithScheme(SchemeCEMFStar))
 	est, err := d.Run(r, values, NewBBA(RangeHighHalf, DistUniform), 0.2)
 	if err != nil {
 		t.Fatal(err)

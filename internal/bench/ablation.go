@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -39,7 +40,7 @@ func Ablation(cfg Config) ([]*Table, error) {
 	futs1 := make([]*future[float64], len(eps0List))
 	hs := make([]int, len(eps0List))
 	for i, eps0 := range eps0List {
-		d, err := core.NewDAP(core.Params{Eps: eps, Eps0: eps0, Scheme: core.SchemeEMFStar, EMFMaxIter: cfg.EMFMaxIter})
+		d, err := meanDAP(core.SchemeEMFStar, eps, cfg.EMFMaxIter, core.WithBudget(eps, eps0))
 		if err != nil {
 			return nil, err
 		}
@@ -55,9 +56,7 @@ func Ablation(cfg Config) ([]*Table, error) {
 	factors := []float64{0.25, 0.5, 1.0}
 	futs2 := make([]*future[float64], len(factors))
 	for i, factor := range factors {
-		pr := dapParams(core.SchemeCEMFStar, eps, cfg.EMFMaxIter)
-		pr.SuppressFactor = factor
-		d, err := core.NewDAP(pr)
+		d, err := meanDAP(core.SchemeCEMFStar, eps, cfg.EMFMaxIter, core.WithSuppressFactor(factor))
 		if err != nil {
 			return nil, err
 		}
@@ -75,9 +74,7 @@ func Ablation(cfg Config) ([]*Table, error) {
 	}{{"paper (Alg. 5)", core.WeightsPaper}, {"general n̂²/B", core.WeightsGeneral}}
 	futs3 := make([]*future[float64], len(modes))
 	for i, it := range modes {
-		pr := dapParams(core.SchemeEMFStar, eps, cfg.EMFMaxIter)
-		pr.WeightMode = it.mode
-		d, err := core.NewDAP(pr)
+		d, err := meanDAP(core.SchemeEMFStar, eps, cfg.EMFMaxIter, core.WithWeights(it.mode))
 		if err != nil {
 			return nil, err
 		}
@@ -89,14 +86,15 @@ func Ablation(cfg Config) ([]*Table, error) {
 		Title:  "Ablation 4: baseline (§IV) vs DAP (§V) under honest and gamed attackers — Taxi, ε=1",
 		Header: []string{"protocol", "threat", "MSE"},
 	}
-	bl, err := core.NewBaseline(1.0/8, 7.0/8, core.SchemeEMFStar)
+	blEst, err := core.Build(core.NewSpec(core.BaselineTask(1.0/8, 7.0/8),
+		core.WithScheme(core.SchemeEMFStar), core.WithEMFMaxIter(cfg.EMFMaxIter)))
 	if err != nil {
 		return nil, err
 	}
-	bl.EMFMaxIter = cfg.EMFMaxIter
+	bl := blEst.(*core.Baseline)
 	blTrial := func(gamed bool) sim.Trial {
 		return func(r *rand.Rand) (float64, error) {
-			var col *core.BaselineCollection
+			var col *core.Collection
 			var err error
 			if gamed {
 				col, err = bl.GamedCollect(r, ds.Values, adv, gamma)
@@ -106,7 +104,7 @@ func Ablation(cfg Config) ([]*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			est, err := bl.Estimate(col)
+			est, err := bl.Estimate(context.Background(), col)
 			if err != nil {
 				return 0, err
 			}
@@ -115,7 +113,7 @@ func Ablation(cfg Config) ([]*Table, error) {
 	}
 	futHonest := p.mse(cfg.Seed+0xAB40, cfg.Trials, trueMean, blTrial(false))
 	futGamed := p.mse(cfg.Seed+0xAB41, cfg.Trials, trueMean, blTrial(true))
-	dDAP, err := core.NewDAP(dapParams(core.SchemeEMFStar, eps, cfg.EMFMaxIter))
+	dDAP, err := meanDAP(core.SchemeEMFStar, eps, cfg.EMFMaxIter)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +149,7 @@ func Ablation(cfg Config) ([]*Table, error) {
 			return clamp1(est), nil
 		}},
 		{"DAP_EMF*", func(r *rand.Rand) (float64, error) {
-			dd, err := core.NewDAP(dapParams(core.SchemeEMFStar, eps, cfg.EMFMaxIter))
+			dd, err := meanDAP(core.SchemeEMFStar, eps, cfg.EMFMaxIter)
 			if err != nil {
 				return 0, err
 			}
@@ -182,7 +180,7 @@ func Ablation(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dd, err := core.NewDAP(dapParams(core.SchemeEMFStar, eps, cfg.EMFMaxIter))
+		dd, err := meanDAP(core.SchemeEMFStar, eps, cfg.EMFMaxIter)
 		if err != nil {
 			return nil, err
 		}

@@ -131,13 +131,14 @@ func Fig8(cfg Config) ([]*Table, error) {
 			schemes = append(schemes, sch{
 				name: "SW_" + sc.String(),
 				trial: func(eps float64) sim.Trial {
-					d, err := core.NewSWDAP(core.SWParams{Eps: eps, Eps0: 1.0 / 16, Scheme: sc, EMFMaxIter: cfg.EMFMaxIter})
+					d, err := core.Build(core.NewSpec(core.DistributionTask(),
+						core.WithBudget(eps, 1.0/16), core.WithScheme(sc), core.WithEMFMaxIter(cfg.EMFMaxIter)))
 					if err != nil {
 						panic(err)
 					}
 					vals := it.vals
 					return func(r *rand.Rand) (float64, error) {
-						est, err := d.Run(r, vals, attack.SWTop{}, 0.25)
+						est, err := d.(core.Runner).Run(r, vals, attack.SWTop{}, 0.25)
 						if err != nil {
 							return 0, err
 						}

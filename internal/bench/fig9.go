@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -155,7 +156,7 @@ func Fig9(cfg Config) ([]*Table, error) {
 		for ei, eps := range epsList {
 			fs := make([]*core.FreqDAP, len(schemes))
 			for si, sc := range schemes {
-				f, err := core.NewFreqDAP(core.FreqParams{Eps: eps, Eps0: 1.0 / 16, K: cov.K(), Scheme: sc, EMFMaxIter: cfg.EMFMaxIter})
+				f, err := freqDAP(sc, eps, cov.K(), cfg.EMFMaxIter)
 				if err != nil {
 					return nil, err
 				}
@@ -172,7 +173,7 @@ func Fig9(cfg Config) ([]*Table, error) {
 						out := make([][]float64, len(fs))
 						var warm *core.WarmState
 						for i, f := range fs {
-							est, err := f.EstimateFreqWarm(col, warm)
+							est, err := f.EstimateHist(core.WithWarm(context.Background(), warm), col)
 							if err != nil {
 								return nil, err
 							}
@@ -190,7 +191,7 @@ func Fig9(cfg Config) ([]*Table, error) {
 		}
 		futsOst[pi] = make([]*future[float64], len(epsList))
 		for ei, eps := range epsList {
-			f, err := core.NewFreqDAP(core.FreqParams{Eps: eps, Eps0: 1.0 / 16, K: cov.K(), EMFMaxIter: cfg.EMFMaxIter})
+			f, err := freqDAP(core.SchemeEMF, eps, cov.K(), cfg.EMFMaxIter)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -49,14 +50,27 @@ func loadDataset(cfg Config, name string) (*dataset.Numeric, error) {
 	return dataset.ByName(rng.Split(cfg.Seed, 0xDA7A), name, cfg.N)
 }
 
-// dapParams assembles the paper's default protocol parameters.
-func dapParams(scheme core.Scheme, eps float64, maxIter int) core.Params {
-	return core.Params{
-		Eps:        eps,
-		Eps0:       1.0 / 16,
-		Scheme:     scheme,
-		EMFMaxIter: maxIter,
+// meanDAP builds the paper's default mean-task protocol (ε₀ = 1/16) at
+// the given scheme and budget; opts override the defaults.
+func meanDAP(scheme core.Scheme, eps float64, maxIter int, opts ...core.Option) (*core.DAP, error) {
+	est, err := core.Build(core.NewSpec(core.MeanTask(), append([]core.Option{
+		core.WithBudget(eps, 1.0/16), core.WithScheme(scheme), core.WithEMFMaxIter(maxIter),
+	}, opts...)...))
+	if err != nil {
+		return nil, err
 	}
+	return est.(*core.DAP), nil
+}
+
+// freqDAP builds the frequency-task protocol over k categories at the
+// paper's ε₀ = 1/16.
+func freqDAP(scheme core.Scheme, eps float64, k, maxIter int) (*core.FreqDAP, error) {
+	est, err := core.Build(core.NewSpec(core.FrequencyTask(k),
+		core.WithBudget(eps, 1.0/16), core.WithScheme(scheme), core.WithEMFMaxIter(maxIter)))
+	if err != nil {
+		return nil, err
+	}
+	return est.(*core.FreqDAP), nil
 }
 
 // dapTrial returns a sim.Trial running one full DAP round.
@@ -143,7 +157,7 @@ func dapsForSchemes(eps float64, maxIter int) ([]*core.DAP, error) {
 	schemes := core.Schemes()
 	daps := make([]*core.DAP, len(schemes))
 	for i, sc := range schemes {
-		d, err := core.NewDAP(dapParams(sc, eps, maxIter))
+		d, err := meanDAP(sc, eps, maxIter)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +182,7 @@ func dapSchemesTrial(daps []*core.DAP, values []float64, adv attack.Adversary, g
 		out := make([]float64, len(daps))
 		var warm *core.WarmState
 		for i, d := range daps {
-			est, err := d.EstimateWarm(col, warm)
+			est, err := d.Estimate(core.WithWarm(context.Background(), warm), col)
 			if err != nil {
 				return nil, err
 			}

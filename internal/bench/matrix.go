@@ -10,6 +10,7 @@ package bench
 // tables.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -176,7 +177,7 @@ func matrixNumeric(cfg Config, p *pool, gamma float64, battery []NamedAttack) ([
 				}
 				var warm *core.WarmState
 				for i, d := range daps {
-					est, err := d.EstimateWarm(col, warm)
+					est, err := d.Estimate(core.WithWarm(context.Background(), warm), col)
 					if err != nil {
 						return nil, err
 					}
@@ -209,9 +210,7 @@ func matrixFreq(cfg Config, p *pool, gamma float64) ([]*future[[]MatrixRow], err
 	schemes := core.Schemes()
 	freqs := make([]*core.FreqDAP, len(schemes))
 	for i, sc := range schemes {
-		d, err := core.NewFreqDAP(core.FreqParams{
-			Eps: 1, Eps0: 1.0 / 16, K: k, Scheme: sc, EMFMaxIter: cfg.EMFMaxIter,
-		})
+		d, err := freqDAP(sc, 1, k, cfg.EMFMaxIter)
 		if err != nil {
 			return nil, err
 		}
@@ -240,7 +239,7 @@ func matrixFreq(cfg Config, p *pool, gamma float64) ([]*future[[]MatrixRow], err
 				}
 				var warm *core.WarmState
 				for i, d := range freqs {
-					est, err := d.EstimateFreqWarm(col, warm)
+					est, err := d.EstimateHist(core.WithWarm(context.Background(), warm), col)
 					if err != nil {
 						return nil, err
 					}

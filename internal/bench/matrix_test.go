@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -85,7 +86,7 @@ func TestMatrixBBARowMatchesDirect(t *testing.T) {
 		}
 		var warm *core.WarmState
 		for i, d := range daps {
-			est, err := d.EstimateWarm(col, warm)
+			est, err := d.Estimate(core.WithWarm(context.Background(), warm), col)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -11,68 +12,61 @@ import (
 	"repro/internal/stats"
 )
 
-// Baseline is the §IV protocol: every user perturbs her value twice, once
-// with a small probing budget ε_α and once with the estimation budget ε_β
-// (ε_α + ε_β = ε, ε_α ≪ ε_β). The collector probes Byzantine features on
-// the ε_α reports with EMF and removes the poison mass from the ε_β mean
+// Baseline is the §IV protocol — the Estimator Build returns for
+// TaskBaseline: every user perturbs her value twice, once with a small
+// probing budget ε_α and once with the estimation budget ε_β (ε_α + ε_β =
+// ε, ε_α ≪ ε_β). The collector probes Byzantine features on the ε_α
+// reports with EMF and removes the poison mass from the ε_β mean
 // (Eq. 12). Its known flaw — attackers may behave honestly on the probing
 // budget — motivates DAP and is reproducible via GamedCollect.
 type Baseline struct {
-	// EpsAlpha is the probing budget ε_α.
-	EpsAlpha float64
-	// EpsBeta is the estimation budget ε_β.
-	EpsBeta float64
-	// Scheme selects EMF, EMF* or CEMF* for the probing stage.
-	Scheme Scheme
-	// OPrime is the pessimistic mean initialization (default 0).
-	OPrime float64
-	// SuppressFactor is CEMF*'s threshold factor (0 selects 0.5).
-	SuppressFactor float64
-	// EMFMaxIter caps EM iterations (0 selects the emf default).
-	EMFMaxIter int
-
+	sp                  Spec
+	scheme              Scheme
 	mechAlpha, mechBeta *pm.Mechanism
 }
 
-// NewBaseline validates the budget split and precomputes mechanisms.
-func NewBaseline(epsAlpha, epsBeta float64, scheme Scheme) (*Baseline, error) {
-	if epsAlpha <= 0 || epsBeta <= 0 {
-		return nil, badSpec("baseline budgets must be positive")
-	}
-	if epsAlpha >= epsBeta {
-		return nil, badSpec("baseline requires eps_alpha << eps_beta")
-	}
-	ma, err := pm.New(epsAlpha)
+// newBaseline precomputes the two mechanisms of a validated, normalized
+// spec.
+func newBaseline(sp Spec) (*Baseline, error) {
+	scheme, _ := ParseScheme(sp.Scheme)
+	ma, err := pm.New(sp.EpsAlpha)
 	if err != nil {
 		return nil, err
 	}
-	mb, err := pm.New(epsBeta)
+	mb, err := pm.New(sp.EpsBeta)
 	if err != nil {
 		return nil, err
 	}
-	return &Baseline{EpsAlpha: epsAlpha, EpsBeta: epsBeta, Scheme: scheme, mechAlpha: ma, mechBeta: mb}, nil
+	return &Baseline{sp: sp, scheme: scheme, mechAlpha: ma, mechBeta: mb}, nil
 }
 
-// BaselineCollection holds the two report sets V′(α) and V′(β).
-type BaselineCollection struct {
-	Alpha []float64
-	Beta  []float64
+// Spec returns the normalized spec the protocol was built from.
+func (b *Baseline) Spec() Spec { return b.sp }
+
+// Groups returns the two-budget layout: the probing budget ε_α and the
+// estimation budget ε_β, one report each.
+func (b *Baseline) Groups() []Group {
+	return []Group{
+		{Index: 0, Eps: b.sp.EpsAlpha, Reports: 1},
+		{Index: 1, Eps: b.sp.EpsBeta, Reports: 1},
+	}
 }
 
-// Collect simulates users under the baseline protocol. Byzantine users
-// poison both report sets (the honest-threat assumption of §IV).
-func (b *Baseline) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*BaselineCollection, error) {
+// Collect simulates users under the baseline protocol into two groups,
+// V′(α) then V′(β). Byzantine users poison both report sets (the
+// honest-threat assumption of §IV).
+func (b *Baseline) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
 	return b.collect(r, values, adv, gamma, false)
 }
 
 // GamedCollect simulates the §V attack on the baseline: Byzantine users
 // report *honestly* on the probing budget ε_α (hiding from EMF) and send
 // poison only on ε_β.
-func (b *Baseline) GamedCollect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*BaselineCollection, error) {
+func (b *Baseline) GamedCollect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
 	return b.collect(r, values, adv, gamma, true)
 }
 
-func (b *Baseline) collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64, gamed bool) (*BaselineCollection, error) {
+func (b *Baseline) collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64, gamed bool) (*Collection, error) {
 	if gamma < 0 || gamma >= 1 {
 		return nil, fmt.Errorf("%w: gamma must lie in [0,1)", ErrDomain)
 	}
@@ -82,49 +76,57 @@ func (b *Baseline) collect(r *rand.Rand, values []float64, adv attack.Adversary,
 	n := len(values)
 	nByz := int(math.Round(gamma * float64(n)))
 	perm := r.Perm(n)
-	col := &BaselineCollection{
-		Alpha: make([]float64, 0, n),
-		Beta:  make([]float64, 0, n),
-	}
-	envA := attack.EnvFor(b.mechAlpha, b.OPrime)
-	envB := attack.EnvFor(b.mechBeta, b.OPrime)
+	alpha := make([]float64, 0, n)
+	beta := make([]float64, 0, n)
+	envA := attack.EnvFor(b.mechAlpha, b.sp.OPrime)
+	envB := attack.EnvFor(b.mechBeta, b.sp.OPrime)
 	for i, u := range perm {
 		byz := i < nByz
 		if byz && !gamed {
-			col.Alpha = append(col.Alpha, adv.Poison(r, envA, 1)...)
+			alpha = append(alpha, adv.Poison(r, envA, 1)...)
 		} else {
-			col.Alpha = append(col.Alpha, b.mechAlpha.Perturb(r, values[u]))
+			alpha = append(alpha, b.mechAlpha.Perturb(r, values[u]))
 		}
 		if byz {
-			col.Beta = append(col.Beta, adv.Poison(r, envB, 1)...)
+			beta = append(beta, adv.Poison(r, envB, 1)...)
 		} else {
-			col.Beta = append(col.Beta, b.mechBeta.Perturb(r, values[u]))
+			beta = append(beta, b.mechBeta.Perturb(r, values[u]))
 		}
 	}
-	return col, nil
+	return &Collection{Groups: [][]float64{alpha, beta}}, nil
 }
 
 // Estimate probes Byzantine features on V′(α) and estimates the mean from
 // V′(β) per §IV-D: since the α and β poison sets form a unified attack,
 // their deviation from O is equal, so M_α estimated from ŷ(α) — rescaled
 // between the two output domains — substitutes for M_β in Eq. 12.
-func (b *Baseline) Estimate(col *BaselineCollection) (*Estimate, error) {
-	if col == nil || len(col.Alpha) == 0 || len(col.Beta) == 0 {
+func (b *Baseline) Estimate(ctx context.Context, col *Collection) (*Result, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	if col == nil || len(col.Groups) != 2 {
+		return nil, badCollection("baseline estimation expects two groups (alpha, beta)")
+	}
+	alpha, beta := col.Groups[0], col.Groups[1]
+	if len(alpha) == 0 || len(beta) == 0 {
 		return nil, badCollection("baseline collection is empty")
 	}
-	din, dprime := emf.BucketCounts(len(col.Alpha), b.mechAlpha.C())
+	din, dprime := emf.BucketCounts(len(alpha), b.mechAlpha.C())
 	m, err := emf.BuildNumericCached(b.mechAlpha, din, dprime)
 	if err != nil {
 		return nil, err
 	}
-	return b.estimateFromCounts(m, m.Counts(col.Alpha), float64(len(col.Beta)), stats.Sum(col.Beta))
+	return b.estimateFromCounts(m, m.Counts(alpha), float64(len(beta)), stats.Sum(beta))
 }
 
 // EstimateHist runs the baseline collector from the histogram sufficient
 // statistic: Counts[0] is the ε_α report histogram (EMF probing reads only
 // bucket counts), Counts[1]/Sums[1] carry the ε_β report count and exact
 // sum that Eq. 12 needs.
-func (b *Baseline) EstimateHist(hc *HistCollection) (*Estimate, error) {
+func (b *Baseline) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
 	if hc == nil || len(hc.Counts) != 2 || hc.Sums == nil || len(hc.Sums) != 2 {
 		return nil, badCollection("baseline estimation expects alpha and beta histograms with sums")
 	}
@@ -145,9 +147,9 @@ func (b *Baseline) EstimateHist(hc *HistCollection) (*Estimate, error) {
 
 // estimateFromCounts is the shared collector core: probe on the ε_α
 // histogram, remove the rescaled poison mass from the ε_β mean.
-func (b *Baseline) estimateFromCounts(m *emf.Matrix, counts []float64, nBeta, sumBeta float64) (*Estimate, error) {
-	cfg := emf.Config{Tol: emf.PaperTol(b.EpsAlpha), MaxIter: b.EMFMaxIter, Accelerate: true}
-	probe, err := emf.ProbeSide(m, counts, b.OPrime, cfg)
+func (b *Baseline) estimateFromCounts(m *emf.Matrix, counts []float64, nBeta, sumBeta float64) (*Result, error) {
+	cfg := emf.Config{Tol: emf.PaperTol(b.sp.EpsAlpha), MaxIter: b.sp.EMFMaxIter, Accelerate: true}
+	probe, err := emf.ProbeSide(m, counts, b.sp.OPrime, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -156,19 +158,19 @@ func (b *Baseline) estimateFromCounts(m *emf.Matrix, counts []float64, nBeta, su
 	side := probe.Side
 	var poison []int
 	if side == emf.Right {
-		poison = m.PoisonRight(b.OPrime)
+		poison = m.PoisonRight(b.sp.OPrime)
 	} else {
-		poison = m.PoisonLeft(b.OPrime)
+		poison = m.PoisonLeft(b.sp.OPrime)
 	}
 	res := probe.Chosen()
-	switch b.Scheme {
+	switch b.scheme {
 	case SchemeEMFStar:
 		// The probe's chosen fit solved the same poison layout; seed the
 		// constrained re-run from it.
 		cfg.Init = res
 		res, err = emf.RunConstrained(m, counts, poison, res.Gamma(), cfg)
 	case SchemeCEMFStar:
-		factor := b.SuppressFactor
+		factor := b.sp.SuppressFactor
 		if factor <= 0 {
 			factor = 0.5
 		}
@@ -194,7 +196,8 @@ func (b *Baseline) estimateFromCounts(m *emf.Matrix, counts []float64, nBeta, su
 		mHat = 0.95 * nBeta
 	}
 	mean := (sumBeta - mHat*poisonMeanBeta) / (nBeta - mHat)
-	est := &Estimate{
+	est := &Result{
+		Task:          TaskBaseline,
 		Mean:          stats.Clamp(mean, -1, 1),
 		PoisonedRight: side == emf.Right,
 		Gamma:         gamma,
@@ -208,10 +211,10 @@ func (b *Baseline) estimateFromCounts(m *emf.Matrix, counts []float64, nBeta, su
 }
 
 // Run is Collect followed by Estimate.
-func (b *Baseline) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Estimate, error) {
+func (b *Baseline) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
 	col, err := b.Collect(r, values, adv, gamma)
 	if err != nil {
 		return nil, err
 	}
-	return b.Estimate(col)
+	return b.Estimate(context.Background(), col)
 }

@@ -66,6 +66,19 @@ type Result struct {
 	Warm *WarmState `json:"-"`
 }
 
+// ConfidenceInterval returns a two-sided normal-approximation interval
+// around the aggregated mean using Theorem 6's worst-case variance bound.
+// level is the coverage (e.g. 0.95). Because VarMin is a worst-case
+// bound, the interval is conservative; without a bound (VarMin = 0) it
+// collapses to the mean.
+func (r *Result) ConfidenceInterval(level float64) (lo, hi float64) {
+	if level <= 0 || level >= 1 || r.VarMin <= 0 {
+		return r.Mean, r.Mean
+	}
+	half := zScore(level) * math.Sqrt(r.VarMin)
+	return r.Mean - half, r.Mean + half
+}
+
 // Estimator is the single estimation surface every task kind implements:
 // batch estimation over a raw Collection and histogram estimation over
 // the streaming sufficient statistic. Build returns one for any valid
@@ -128,69 +141,30 @@ func Build(sp Spec) (Estimator, error) {
 		return nil, err
 	}
 	sp = sp.Normalize()
-	scheme, _ := ParseScheme(sp.Scheme)
-	weights, _ := ParseWeightMode(sp.Weights)
+	var (
+		est Estimator
+		err error
+	)
 	switch {
 	case sp.Defense != nil:
-		return newDefenseEstimator(sp)
+		est, err = newDefenseEstimator(sp)
 	case sp.Task == TaskMean:
-		d, err := NewDAP(Params{
-			Eps: sp.Eps, Eps0: sp.Eps0, Scheme: scheme,
-			OPrime: sp.OPrime, AutoOPrime: sp.AutoOPrime, GammaSup: sp.GammaSup,
-			SuppressFactor: sp.SuppressFactor, EMFMaxIter: sp.EMFMaxIter,
-			WeightMode: weights,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &meanEstimator{sp: sp, d: d}, nil
+		est, err = newDAP(sp)
 	case sp.Task == TaskDistribution:
-		d, err := NewSWDAP(SWParams{
-			Eps: sp.Eps, Eps0: sp.Eps0, Scheme: scheme, TrimFrac: sp.TrimFrac,
-			SuppressFactor: sp.SuppressFactor, EMFMaxIter: sp.EMFMaxIter,
-			WeightMode: weights,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &distEstimator{sp: sp, d: d}, nil
+		est, err = newSWDAP(sp)
 	case sp.Task == TaskFrequency:
-		d, err := NewFreqDAP(FreqParams{
-			Eps: sp.Eps, Eps0: sp.Eps0, K: sp.K, Scheme: scheme,
-			SuppressFactor: sp.SuppressFactor, EMFMaxIter: sp.EMFMaxIter,
-			WeightMode: weights,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &freqEstimator{sp: sp, d: d}, nil
+		est, err = newFreqDAP(sp)
 	case sp.Task == TaskVariance:
-		p := Params{
-			Eps: sp.Eps, Eps0: sp.Eps0, Scheme: scheme,
-			OPrime: sp.OPrime, AutoOPrime: sp.AutoOPrime, GammaSup: sp.GammaSup,
-			SuppressFactor: sp.SuppressFactor, EMFMaxIter: sp.EMFMaxIter,
-			WeightMode: weights,
-		}
-		d1, err := NewDAP(p)
-		if err != nil {
-			return nil, err
-		}
-		d2, err := NewDAP(p)
-		if err != nil {
-			return nil, err
-		}
-		return &varianceEstimator{sp: sp, mean: d1, moment: d2}, nil
+		est, err = newVarianceEstimator(sp)
 	case sp.Task == TaskBaseline:
-		b, err := NewBaseline(sp.EpsAlpha, sp.EpsBeta, scheme)
-		if err != nil {
-			return nil, err
-		}
-		b.OPrime = sp.OPrime
-		b.SuppressFactor = sp.SuppressFactor
-		b.EMFMaxIter = sp.EMFMaxIter
-		return &baselineEstimator{sp: sp, b: b}, nil
+		est, err = newBaseline(sp)
+	default:
+		return nil, badSpec("unknown task %q", sp.Task)
 	}
-	return nil, badSpec("unknown task %q", sp.Task)
+	if err != nil {
+		return nil, err
+	}
+	return est, nil
 }
 
 // ctxErr reports a done context. Adapters check it once at entry; the
@@ -202,216 +176,31 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// --- mean over PM ---
-
-type meanEstimator struct {
-	sp Spec
-	d  *DAP
-}
-
-func (e *meanEstimator) Spec() Spec                    { return e.sp }
-func (e *meanEstimator) Groups() []Group               { return e.d.Groups() }
-func (e *meanEstimator) OutputDomain(t int) ldp.Domain { return e.d.Mechanism(t).OutputDomain() }
-
-func (e *meanEstimator) Estimate(ctx context.Context, col *Collection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	est, err := e.d.EstimateWarm(col, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfEstimate(TaskMean, est), nil
-}
-
-func (e *meanEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	est, err := e.d.EstimateHistWarm(hc, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfEstimate(TaskMean, est), nil
-}
-
-func (e *meanEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
-	return e.d.Collect(r, values, adv, gamma)
-}
-
-func (e *meanEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	est, err := e.d.Run(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return resultOfEstimate(TaskMean, est), nil
-}
-
-func resultOfEstimate(task TaskKind, est *Estimate) *Result {
-	return &Result{
-		Task:          task,
-		Mean:          est.Mean,
-		Gamma:         est.Gamma,
-		PoisonedRight: est.PoisonedRight,
-		OPrime:        est.OPrime,
-		GroupMeans:    est.GroupMeans,
-		GroupGammas:   est.GroupGammas,
-		Weights:       est.Weights,
-		NHat:          est.NHat,
-		VarMin:        est.VarMin,
-		EMFIters:      est.EMFIters,
-		EMFRestarts:   est.EMFRestarts,
-		WarmHits:      est.WarmHits,
-		Converged:     est.Converged,
-		Warm:          est.Warm,
-	}
-}
-
-// --- distribution over SW ---
-
-type distEstimator struct {
-	sp Spec
-	d  *SWDAP
-}
-
-func (e *distEstimator) Spec() Spec                    { return e.sp }
-func (e *distEstimator) Groups() []Group               { return e.d.Groups() }
-func (e *distEstimator) OutputDomain(t int) ldp.Domain { return e.d.Mechanism(t).OutputDomain() }
-
-func (e *distEstimator) Estimate(ctx context.Context, col *Collection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	est, err := e.d.EstimateWarm(col, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfSW(est), nil
-}
-
-func (e *distEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	est, err := e.d.EstimateHistWarm(hc, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfSW(est), nil
-}
-
-func (e *distEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
-	return e.d.Collect(r, values, adv, gamma)
-}
-
-func (e *distEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	est, err := e.d.Run(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return resultOfSW(est), nil
-}
-
-func resultOfSW(est *SWEstimate) *Result {
-	res := resultOfEstimate(TaskDistribution, &est.Estimate)
-	res.OPrime = est.OPrime
-	res.XHat = est.XHat
-	return res
-}
-
-// --- frequency over k-RR ---
-
-type freqEstimator struct {
-	sp Spec
-	d  *FreqDAP
-}
-
-func (e *freqEstimator) Spec() Spec      { return e.sp }
-func (e *freqEstimator) Groups() []Group { return e.d.Groups() }
-func (e *freqEstimator) OutputDomain(int) ldp.Domain {
-	return ldp.Domain{Lo: 0, Hi: float64(e.sp.K)}
-}
-
-// Estimate accepts raw per-group category reports encoded as float64
-// (the Collection currency shared with the numeric tasks); non-integral
-// or out-of-range values are rejected with ErrDomain.
-func (e *freqEstimator) Estimate(ctx context.Context, col *Collection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if col == nil || len(col.Groups) != e.d.H() {
-		return nil, badCollection("collection does not match group layout")
-	}
-	counts := make([][]float64, len(col.Groups))
-	for t, reports := range col.Groups {
-		counts[t] = make([]float64, e.sp.K)
-		for _, v := range reports {
-			c := int(v)
-			if v != float64(c) || c < 0 || c >= e.sp.K {
-				return nil, fmt.Errorf("%w: %g is not a category in [0,%d)", ErrDomain, v, e.sp.K)
-			}
-			counts[t][c]++
-		}
-	}
-	est, err := e.d.EstimateFreqWarm(&FreqCollection{Counts: counts, ByzCount: col.ByzCount}, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfFreq(est), nil
-}
-
-func (e *freqEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if hc == nil {
-		return nil, badCollection("histogram collection does not match group layout")
-	}
-	est, err := e.d.EstimateFreqWarm(&FreqCollection{Counts: hc.Counts}, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfFreq(est), nil
-}
-
-func (e *freqEstimator) RunCats(r *rand.Rand, cats []int, poisonCats []int, gamma float64) (*Result, error) {
-	est, err := e.d.Run(r, cats, poisonCats, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return resultOfFreq(est), nil
-}
-
-func (e *freqEstimator) RunCatsAdv(r *rand.Rand, cats []int, adv attack.Adversary, gamma float64) (*Result, error) {
-	est, err := e.d.RunAdv(r, cats, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return resultOfFreq(est), nil
-}
-
-func resultOfFreq(est *FreqEstimate) *Result {
-	return &Result{
-		Task:        TaskFrequency,
-		Freqs:       est.Freqs,
-		Gamma:       est.Gamma,
-		PoisonCats:  est.PoisonCats,
-		GroupFreqs:  est.GroupFreqs,
-		Weights:     est.Weights,
-		EMFIters:    est.EMFIters,
-		EMFRestarts: est.EMFRestarts,
-		WarmHits:    est.WarmHits,
-		Converged:   est.Converged,
-		Warm:        est.Warm,
-	}
-}
-
 // --- variance via split populations ---
 
+// varianceEstimator generalizes DAP beyond the mean (§V-D, "DAP is not
+// limited to mean estimation"): it estimates the variance of the normal
+// users' values under the same threat model. The user population is
+// split in half; one half runs the mean pipeline on v, the other on the
+// transformed value 2v²−1 ∈ [−1,1] (so E[2v²−1] = 2E[v²]−1), each half
+// under its own full-budget DAP, and Var = E[v²] − E[v]². Every user
+// still reports exactly one statistic and spends exactly ε.
 type varianceEstimator struct {
 	sp     Spec
 	mean   *DAP // first h groups: E[v]
 	moment *DAP // last h groups: E[2v²−1]
+}
+
+func newVarianceEstimator(sp Spec) (*varianceEstimator, error) {
+	mean, err := newDAP(sp)
+	if err != nil {
+		return nil, err
+	}
+	moment, err := newDAP(sp)
+	if err != nil {
+		return nil, err
+	}
+	return &varianceEstimator{sp: sp, mean: mean, moment: moment}, nil
 }
 
 func (e *varianceEstimator) Spec() Spec { return e.sp }
@@ -463,12 +252,11 @@ func (e *varianceEstimator) Estimate(ctx context.Context, col *Collection) (*Res
 	if col == nil || len(col.Groups) != 2*h {
 		return nil, badCollection("variance estimation expects %d groups (mean half then moment half)", 2*h)
 	}
-	warm := WarmFromContext(ctx)
-	m1, err := e.mean.EstimateWarm(&Collection{Groups: col.Groups[:h]}, warm.subState(0))
+	m1, err := e.mean.Estimate(withSubWarm(ctx, 0), &Collection{Groups: col.Groups[:h]})
 	if err != nil {
 		return nil, err
 	}
-	m2, err := e.moment.EstimateWarm(&Collection{Groups: col.Groups[h:]}, warm.subState(1))
+	m2, err := e.moment.Estimate(withSubWarm(ctx, 1), &Collection{Groups: col.Groups[h:]})
 	if err != nil {
 		return nil, err
 	}
@@ -483,12 +271,11 @@ func (e *varianceEstimator) EstimateHist(ctx context.Context, hc *HistCollection
 	if hc == nil || len(hc.Counts) != 2*h || hc.Sums == nil || len(hc.Sums) != 2*h {
 		return nil, badCollection("variance estimation expects %d group histograms with sums", 2*h)
 	}
-	warm := WarmFromContext(ctx)
-	m1, err := e.mean.EstimateHistWarm(&HistCollection{Counts: hc.Counts[:h], Sums: hc.Sums[:h]}, warm.subState(0))
+	m1, err := e.mean.EstimateHist(withSubWarm(ctx, 0), &HistCollection{Counts: hc.Counts[:h], Sums: hc.Sums[:h]})
 	if err != nil {
 		return nil, err
 	}
-	m2, err := e.moment.EstimateHistWarm(&HistCollection{Counts: hc.Counts[h:], Sums: hc.Sums[h:]}, warm.subState(1))
+	m2, err := e.moment.EstimateHist(withSubWarm(ctx, 1), &HistCollection{Counts: hc.Counts[h:], Sums: hc.Sums[h:]})
 	if err != nil {
 		return nil, err
 	}
@@ -505,9 +292,11 @@ func (e *varianceEstimator) Run(r *rand.Rand, values []float64, adv attack.Adver
 
 // varianceResult combines the two half estimates: Var = E[v²] − E[v]²
 // with E[v²] = (E[2v²−1]+1)/2. Group diagnostics concatenate the halves;
-// solver telemetry sums and the warm states compose.
-func varianceResult(m1, m2 *Estimate) *Result {
-	res := resultOfEstimate(TaskVariance, m1)
+// solver telemetry sums and the warm states compose. The first moment,
+// γ̂, poisoned side and VarMin are the mean half's.
+func varianceResult(m1, m2 *Result) *Result {
+	res := *m1
+	res.Task = TaskVariance
 	m2sq := stats.Clamp((m2.Mean+1)/2, 0, 1)
 	res.SecondMoment = m2sq
 	res.Variance = math.Max(0, m2sq-m1.Mean*m1.Mean)
@@ -520,66 +309,7 @@ func varianceResult(m1, m2 *Estimate) *Result {
 	res.WarmHits = m1.WarmHits + m2.WarmHits
 	res.Converged = m1.Converged && m2.Converged
 	res.Warm = &WarmState{sub: []*WarmState{m1.Warm, m2.Warm}}
-	return res
-}
-
-// --- the §IV two-budget baseline ---
-
-type baselineEstimator struct {
-	sp Spec
-	b  *Baseline
-}
-
-func (e *baselineEstimator) Spec() Spec { return e.sp }
-
-// Groups returns the two-budget layout: the probing budget ε_α and the
-// estimation budget ε_β, one report each.
-func (e *baselineEstimator) Groups() []Group {
-	return []Group{
-		{Index: 0, Eps: e.b.EpsAlpha, Reports: 1},
-		{Index: 1, Eps: e.b.EpsBeta, Reports: 1},
-	}
-}
-
-func (e *baselineEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
-	col, err := e.b.Collect(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return &Collection{Groups: [][]float64{col.Alpha, col.Beta}}, nil
-}
-
-func (e *baselineEstimator) Estimate(ctx context.Context, col *Collection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if col == nil || len(col.Groups) != 2 {
-		return nil, badCollection("baseline estimation expects two groups (alpha, beta)")
-	}
-	est, err := e.b.Estimate(&BaselineCollection{Alpha: col.Groups[0], Beta: col.Groups[1]})
-	if err != nil {
-		return nil, err
-	}
-	return resultOfEstimate(TaskBaseline, est), nil
-}
-
-func (e *baselineEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	est, err := e.b.EstimateHist(hc)
-	if err != nil {
-		return nil, err
-	}
-	return resultOfEstimate(TaskBaseline, est), nil
-}
-
-func (e *baselineEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	est, err := e.b.Run(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return resultOfEstimate(TaskBaseline, est), nil
+	return &res
 }
 
 // --- comparator defenses ---

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -22,21 +23,18 @@ func testValues(n int) []float64 {
 // per-group EM fits out on goroutines; repeated Estimate calls over the
 // same collection must be bit-identical.
 func TestEstimateDeterministicUnderConcurrency(t *testing.T) {
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeCEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 1.0/16), WithScheme(SchemeCEMFStar))
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
 	col, err := d.Collect(rng.New(5), testValues(6000), adv, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := d.Estimate(col)
+	first, err := d.Estimate(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 5; rep++ {
-		again, err := d.Estimate(col)
+		again, err := d.Estimate(context.Background(), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,10 +46,7 @@ func TestEstimateDeterministicUnderConcurrency(t *testing.T) {
 
 // TestEstimateFreqDeterministicUnderConcurrency is the categorical analog.
 func TestEstimateFreqDeterministicUnderConcurrency(t *testing.T) {
-	d, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.25, K: 12, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*FreqDAP](t, FrequencyTask(12), WithBudget(1, 0.25), WithScheme(SchemeEMFStar))
 	r := rng.New(6)
 	cats := make([]int, 5000)
 	for i := range cats {
@@ -61,12 +56,12 @@ func TestEstimateFreqDeterministicUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := d.EstimateFreq(col)
+	first, err := d.EstimateHist(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 5; rep++ {
-		again, err := d.EstimateFreq(col)
+		again, err := d.EstimateHist(context.Background(), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,10 +88,7 @@ func (s sentinelAdv) Poison(_ *rand.Rand, _ attack.Env, k int) []float64 {
 // Collect: the strided Byzantine slots must land ~γ in every group (the
 // naive prefix split would concentrate them all in the first groups).
 func TestCollectSpreadsByzantineAcrossGroups(t *testing.T) {
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 1.0/16), WithScheme(SchemeEMF))
 	const gamma = 0.25
 	col, err := d.Collect(rng.New(9), testValues(20000), sentinelAdv{v: 99}, gamma)
 	if err != nil {

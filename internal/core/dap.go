@@ -1,48 +1,63 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
 
 	"repro/internal/attack"
 	"repro/internal/emf"
+	"repro/internal/ldp"
 	"repro/internal/ldp/pm"
 	"repro/internal/stats"
 )
 
-// Params configures a DAP instance (§V).
-type Params struct {
-	// Eps is the total per-user privacy budget ε.
-	Eps float64
-	// Eps0 is the minimal acceptable group budget ε₀ (the paper uses 1/16).
-	Eps0 float64
-	// Scheme selects EMF, EMF* or CEMF* intra-group estimation.
-	Scheme Scheme
-	// OPrime is the pessimistic mean initialization O′ (§IV-A; default 0).
-	OPrime float64
-	// AutoOPrime derives O′ from the collected reports per Theorem 2
-	// (trimmed pessimistic mean at the smallest budget) instead of using
-	// the fixed OPrime.
-	AutoOPrime bool
-	// GammaSup is the Byzantine-proportion upper bound used by the
-	// Theorem 2 initialization (0 selects the threat model's 1/2).
-	GammaSup float64
-	// SuppressFactor is CEMF*'s concentration threshold factor; the
-	// threshold is SuppressFactor·γ̂/|P| (the paper uses 0.5; 0 selects it).
-	SuppressFactor float64
-	// EMFMaxIter caps EM iterations per group (0 selects the emf default).
-	EMFMaxIter int
-	// WeightMode selects Algorithm 5's literal weights (default) or the
-	// general minimum-variance weights.
-	WeightMode WeightMode
+// protocol is the state the multi-group protocols share: the normalized
+// spec they were built from, its parsed scheme and weight mode, and the
+// group layout (§V-A). Build is the only constructor.
+type protocol struct {
+	sp      Spec
+	scheme  Scheme
+	weights WeightMode
+	groups  []Group
 }
 
-func (p *Params) suppressFactor() float64 {
-	if p.SuppressFactor > 0 {
-		return p.SuppressFactor
+// newProtocol lays out h = ⌈log₂(ε/ε₀)⌉+1 groups for a validated,
+// normalized spec.
+func newProtocol(sp Spec) protocol {
+	scheme, _ := ParseScheme(sp.Scheme)
+	weights, _ := ParseWeightMode(sp.Weights)
+	groups := make([]Group, groupCount(sp.Eps, sp.Eps0))
+	for t := range groups {
+		groups[t] = Group{Index: t, Eps: sp.Eps / math.Pow(2, float64(t)), Reports: 1 << t}
+	}
+	return protocol{sp: sp, scheme: scheme, weights: weights, groups: groups}
+}
+
+// Spec returns the normalized spec the protocol was built from.
+func (p *protocol) Spec() Spec { return p.sp }
+
+// Groups returns the group layout.
+func (p *protocol) Groups() []Group { return append([]Group(nil), p.groups...) }
+
+// H returns the number of groups h = ⌈log₂(ε/ε₀)⌉+1.
+func (p *protocol) H() int { return len(p.groups) }
+
+// suppressFactor is CEMF*'s concentration threshold factor; the threshold
+// is factor·γ̂/|P| (the paper uses 0.5, selected when the spec leaves it 0).
+func (p *protocol) suppressFactor() float64 {
+	if p.sp.SuppressFactor > 0 {
+		return p.sp.SuppressFactor
 	}
 	return 0.5
+}
+
+// cfg builds the EM iteration controls for group t, using the paper's
+// termination threshold τ = 0.01·e^{ε_t} and the SQUAREM-accelerated
+// solver (tolerance-equivalent to the plain loop, ~2–5× fewer E-steps).
+func (p *protocol) cfg(t int) emf.Config {
+	return emf.Config{Tol: emf.PaperTol(p.groups[t].Eps), MaxIter: p.sp.EMFMaxIter, Accelerate: true}
 }
 
 // Group describes one DAP group (§V-A).
@@ -56,44 +71,34 @@ type Group struct {
 	Reports int
 }
 
-// DAP is a Differential Aggregation Protocol instance for mean estimation
-// over the Piecewise Mechanism.
+// DAP is the Differential Aggregation Protocol for mean estimation over
+// the Piecewise Mechanism — the Estimator Build returns for TaskMean. Its
+// spec's OPrime, AutoOPrime and GammaSup fix the pessimistic mean
+// initialization (§IV-A, Theorem 2).
 type DAP struct {
-	p      Params
-	groups []Group
-	mechs  []*pm.Mechanism
+	protocol
+	mechs []*pm.Mechanism
 }
 
-// NewDAP validates parameters and precomputes the group layout.
-func NewDAP(p Params) (*DAP, error) {
-	if err := validateBudgets(p.Eps, p.Eps0); err != nil {
-		return nil, err
-	}
-	h := groupCount(p.Eps, p.Eps0)
-	d := &DAP{p: p, groups: make([]Group, h), mechs: make([]*pm.Mechanism, h)}
-	for t := 0; t < h; t++ {
-		eps := p.Eps / math.Pow(2, float64(t))
-		mech, err := pm.New(eps)
+// newDAP precomputes the group mechanisms of a validated, normalized spec.
+func newDAP(sp Spec) (*DAP, error) {
+	d := &DAP{protocol: newProtocol(sp)}
+	d.mechs = make([]*pm.Mechanism, d.H())
+	for t, g := range d.groups {
+		mech, err := pm.New(g.Eps)
 		if err != nil {
 			return nil, fmt.Errorf("core: group %d: %w", t, err)
 		}
-		d.groups[t] = Group{Index: t, Eps: eps, Reports: 1 << t}
 		d.mechs[t] = mech
 	}
 	return d, nil
 }
 
-// Groups returns the group layout.
-func (d *DAP) Groups() []Group { return append([]Group(nil), d.groups...) }
-
-// H returns the number of groups h = ⌈log₂(ε/ε₀)⌉+1.
-func (d *DAP) H() int { return len(d.groups) }
-
-// Params returns the protocol parameters.
-func (d *DAP) Params() Params { return d.p }
-
 // Mechanism returns the PM instance of group t.
 func (d *DAP) Mechanism(t int) *pm.Mechanism { return d.mechs[t] }
+
+// OutputDomain returns group t's report domain.
+func (d *DAP) OutputDomain(t int) ldp.Domain { return d.mechs[t].OutputDomain() }
 
 // Collection holds the per-group reports received by the collector.
 type Collection struct {
@@ -136,7 +141,7 @@ func (d *DAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamm
 		lo, hi := t*n/h, (t+1)*n/h
 		g := d.groups[t]
 		mech := d.mechs[t]
-		env := attack.EnvFor(mech, d.p.OPrime)
+		env := attack.EnvFor(mech, d.sp.OPrime)
 		env.Group = t
 		reports := make([]float64, 0, (hi-lo)*g.Reports)
 		for _, u := range perm[lo:hi] {
@@ -158,14 +163,12 @@ func (d *DAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamm
 // group EMF probing, intra-group mean estimation with the configured
 // scheme (Eq. 13), and variance-optimal inter-group aggregation
 // (Algorithm 5). The poisoned side and γ̂ fed to EMF*/CEMF* come from the
-// group with the smallest budget, where Theorem 3 makes EMF sharpest.
-func (d *DAP) Estimate(col *Collection) (*Estimate, error) {
-	return d.EstimateWarm(col, nil)
-}
-
-// EstimateWarm is Estimate with the solver runs seeded from a previous
-// estimate's fits (tolerance-equivalent to the cold run; see WarmState).
-func (d *DAP) EstimateWarm(col *Collection, warm *WarmState) (*Estimate, error) {
+// group with the smallest budget, where Theorem 3 makes EMF sharpest. A
+// warm state attached to ctx (WithWarm) seeds the solver runs.
+func (d *DAP) Estimate(ctx context.Context, col *Collection) (*Result, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
 	h := d.H()
 	if col == nil || len(col.Groups) != h {
 		return nil, badCollection("collection does not match group layout")
@@ -193,7 +196,7 @@ func (d *DAP) EstimateWarm(col *Collection, warm *WarmState) (*Estimate, error) 
 	}); err != nil {
 		return nil, err
 	}
-	return d.estimateFromCounts(matrices, counts, sums, ns, col.Groups[h-1], warm)
+	return d.estimateFromCounts(matrices, counts, sums, ns, col.Groups[h-1], WarmFromContext(ctx))
 }
 
 // estimateFromCounts runs stages 3–5 over the per-group sufficient
@@ -202,12 +205,12 @@ func (d *DAP) EstimateWarm(col *Collection, warm *WarmState) (*Estimate, error) 
 // Theorem 2's AutoOPrime trimmed mean; the histogram entry point passes
 // nil and the trimmed mean falls back to bucket centers. warm optionally
 // seeds every solver run from a previous estimate's fits.
-func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sums, ns []float64, probeRaw []float64, warm *WarmState) (*Estimate, error) {
+func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sums, ns []float64, probeRaw []float64, warm *WarmState) (*Result, error) {
 	h := d.H()
 	var diag emfDiag
 	// Stage 3: probe side and γ̂ at the smallest budget (group h−1).
 	probeCfg := d.cfg(h - 1)
-	oPrime := d.p.OPrime
+	oPrime := d.sp.OPrime
 	probe, err := emf.ProbeSideInit(matrices[h-1], counts[h-1], oPrime, probeCfg,
 		warm.probeLeft(), warm.probeRight())
 	if err != nil {
@@ -215,17 +218,17 @@ func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sum
 	}
 	diag.observe(probe.Left, probe.Right)
 	side := probe.Side
-	if d.p.AutoOPrime {
+	if d.sp.AutoOPrime {
 		// Theorem 2: trim the suspected-poisoned tail of the smallest-budget
 		// reports (PM reports are unbiased, so their trimmed mean lives on
 		// the input scale) and re-probe around the pessimistic O′. The
 		// re-probe solves the same counts with shifted poison sets, so the
 		// first probe's fits are its natural seeds.
 		if probeRaw != nil {
-			oPrime = PessimisticO(probeRaw, d.p.GammaSup, side == emf.Right)
+			oPrime = PessimisticO(probeRaw, d.sp.GammaSup, side == emf.Right)
 		} else {
 			oPrime = PessimisticOHist(counts[h-1], outCenters(matrices[h-1]),
-				d.p.GammaSup, side == emf.Right)
+				d.sp.GammaSup, side == emf.Right)
 		}
 		oPrime = stats.Clamp(oPrime, -1, 1)
 		if probe, err = emf.ProbeSideInit(matrices[h-1], counts[h-1], oPrime, probeCfg,
@@ -237,7 +240,8 @@ func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sum
 	}
 	gammaGlobal := probe.Chosen().Gamma()
 
-	est := &Estimate{
+	est := &Result{
+		Task:          TaskMean,
 		PoisonedRight: side == emf.Right,
 		Gamma:         gammaGlobal,
 		GroupMeans:    make([]float64, h),
@@ -283,7 +287,7 @@ func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sum
 		est.GroupMeans[t] = stats.Clamp(mt, -1, 1)
 		est.GroupGammas[t] = gammaT
 		// n̂_t = (N_t − m̂_t)·ε_t/ε converts report counts to user counts.
-		est.NHat[t] = (nt - mHat) * d.groups[t].Eps / d.p.Eps
+		est.NHat[t] = (nt - mHat) * d.groups[t].Eps / d.sp.Eps
 		b[t] = est.NHat[t] * d.mechs[t].WorstCaseVar()
 		return nil
 	}); err != nil {
@@ -296,7 +300,7 @@ func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sum
 	est.Warm = &WarmState{probeL: probe.Left, probeR: probe.Right, bases: bases, finals: finals}
 
 	// Stage 5: inter-group aggregation (Algorithm 5).
-	w, err := OptimalWeights(b, est.NHat, d.p.WeightMode)
+	w, err := OptimalWeights(b, est.NHat, d.weights)
 	if err != nil {
 		return nil, err
 	}
@@ -307,12 +311,12 @@ func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sum
 }
 
 // Run is Collect followed by Estimate.
-func (d *DAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Estimate, error) {
+func (d *DAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
 	col, err := d.Collect(r, values, adv, gamma)
 	if err != nil {
 		return nil, err
 	}
-	return d.Estimate(col)
+	return d.Estimate(context.Background(), col)
 }
 
 // groupResult applies the configured scheme to one group, seeding the
@@ -329,7 +333,7 @@ func (d *DAP) groupResult(m *emf.Matrix, counts []float64, side emf.Side, gammaG
 		poison = m.PoisonLeft(oPrime)
 	}
 	cfg := d.cfg(t)
-	if d.p.Scheme == SchemeEMFStar {
+	if d.scheme == SchemeEMFStar {
 		cfg.Init = warmFinal
 		res, err = emf.RunConstrained(m, counts, poison, gammaGlobal, cfg)
 		return res, nil, gammaGlobal, err
@@ -339,23 +343,16 @@ func (d *DAP) groupResult(m *emf.Matrix, counts []float64, side emf.Side, gammaG
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if d.p.Scheme == SchemeCEMFStar {
+	if d.scheme == SchemeCEMFStar {
 		// RunConcentrated seeds its constrained re-run from base (the fit
 		// on the current counts beats any previous estimate's).
-		res, err = emf.RunConcentrated(m, counts, base, gammaGlobal, d.p.suppressFactor(), d.cfg(t))
+		res, err = emf.RunConcentrated(m, counts, base, gammaGlobal, d.suppressFactor(), d.cfg(t))
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		return res, base, res.Gamma(), nil
 	}
 	return base, base, base.Gamma(), nil
-}
-
-// cfg builds the EM iteration controls for group t, using the paper's
-// termination threshold τ = 0.01·e^{ε_t} and the SQUAREM-accelerated
-// solver (tolerance-equivalent to the plain loop, ~2–5× fewer E-steps).
-func (d *DAP) cfg(t int) emf.Config {
-	return emf.Config{Tol: emf.PaperTol(d.groups[t].Eps), MaxIter: d.p.EMFMaxIter, Accelerate: true}
 }
 
 // CollectPM gathers a plain single-group PM collection at budget eps with

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,17 @@ import (
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
+
+// buildAs builds the spec of task and opts and returns its estimator as
+// T (a concrete protocol type or a simulation interface).
+func buildAs[T any](t testing.TB, task Option, opts ...Option) T {
+	t.Helper()
+	est, err := Build(NewSpec(task, opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est.(T)
+}
 
 func uniformValues(seed uint64, n int, lo, hi float64) ([]float64, float64) {
 	r := rng.New(seed)
@@ -21,22 +33,20 @@ func uniformValues(seed uint64, n int, lo, hi float64) ([]float64, float64) {
 }
 
 func TestNewDAPValidation(t *testing.T) {
-	if _, err := NewDAP(Params{Eps: 0, Eps0: 1}); err == nil {
+	if _, err := Build(NewSpec(MeanTask(), WithBudget(0, 1))); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
-	if _, err := NewDAP(Params{Eps: 1, Eps0: 0}); err == nil {
-		t.Fatal("eps0=0 accepted")
+	// A zero ε₀ selects the ε/16 default; a negative one is rejected.
+	if _, err := Build(NewSpec(MeanTask(), WithBudget(1, -0.5))); err == nil {
+		t.Fatal("eps0<0 accepted")
 	}
-	if _, err := NewDAP(Params{Eps: 1, Eps0: 2}); err == nil {
+	if _, err := Build(NewSpec(MeanTask(), WithBudget(1, 2))); err == nil {
 		t.Fatal("eps0 > eps accepted")
 	}
 }
 
 func TestDAPGroupLayout(t *testing.T) {
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 1.0/16), WithScheme(SchemeEMF))
 	if d.H() != 5 {
 		t.Fatalf("h = %d, want 5", d.H())
 	}
@@ -57,10 +67,7 @@ func TestDAPGroupLayout(t *testing.T) {
 }
 
 func TestDAPCollectShape(t *testing.T) {
-	d, err := NewDAP(Params{Eps: 1, Eps0: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 0.25), WithScheme(SchemeEMF))
 	vals, _ := uniformValues(1, 9000, -1, 1)
 	col, err := d.Collect(rng.New(2), vals, attack.None{}, 0)
 	if err != nil {
@@ -81,7 +88,7 @@ func TestDAPCollectShape(t *testing.T) {
 }
 
 func TestDAPCollectValidation(t *testing.T) {
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.25})
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 0.25), WithScheme(SchemeEMF))
 	if _, err := d.Collect(rng.New(1), []float64{1}, nil, 0); err == nil {
 		t.Fatal("too few users accepted")
 	}
@@ -92,14 +99,14 @@ func TestDAPCollectValidation(t *testing.T) {
 }
 
 func TestDAPEstimateValidation(t *testing.T) {
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.25})
-	if _, err := d.Estimate(nil); err == nil {
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 0.25), WithScheme(SchemeEMF))
+	if _, err := d.Estimate(context.Background(), nil); err == nil {
 		t.Fatal("nil collection accepted")
 	}
-	if _, err := d.Estimate(&Collection{Groups: make([][]float64, 2)}); err == nil {
+	if _, err := d.Estimate(context.Background(), &Collection{Groups: make([][]float64, 2)}); err == nil {
 		t.Fatal("wrong group count accepted")
 	}
-	if _, err := d.Estimate(&Collection{Groups: make([][]float64, 3)}); err == nil {
+	if _, err := d.Estimate(context.Background(), &Collection{Groups: make([][]float64, 3)}); err == nil {
 		t.Fatal("empty group accepted")
 	}
 }
@@ -107,10 +114,7 @@ func TestDAPEstimateValidation(t *testing.T) {
 func TestDAPNoAttackUnbiased(t *testing.T) {
 	// The paper's ε₀ = 1/16: Fig. 5(c) shows the EMF false-positive rate
 	// stays at 2–4% there, which bounds the clean-case bias.
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 1.0/16), WithScheme(SchemeEMFStar))
 	vals, trueMean := uniformValues(3, 20000, -0.6, 0.2)
 	est, err := d.Run(rng.New(4), vals, attack.None{}, 0)
 	if err != nil {
@@ -130,10 +134,7 @@ func TestDAPDefendsAgainstBBA(t *testing.T) {
 	const gamma = 0.25
 
 	for _, scheme := range Schemes() {
-		d, err := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: scheme})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 0.25), WithScheme(scheme))
 		est, err := d.Run(rng.New(6), vals, adv, gamma)
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +161,7 @@ func TestDAPDefendsAgainstBBA(t *testing.T) {
 func TestDAPEstimateInternals(t *testing.T) {
 	vals, _ := uniformValues(7, 12000, -0.8, 0)
 	adv := attack.NewBBA(attack.RangeHighQuarter, attack.DistUniform)
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 0.25), WithScheme(SchemeCEMFStar))
 	est, err := d.Run(rng.New(8), vals, adv, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +194,7 @@ func TestDAPEstimateInternals(t *testing.T) {
 func TestDAPDeterministicAtFixedSeed(t *testing.T) {
 	vals, _ := uniformValues(9, 6000, -0.5, 0.5)
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.5})
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 0.5), WithScheme(SchemeEMF))
 	a, err := d.Run(rng.New(10), vals, adv, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +224,7 @@ func TestCollectPM(t *testing.T) {
 
 func TestDAPWeightModeGeneral(t *testing.T) {
 	vals, trueMean := uniformValues(13, 9000, -0.5, 0)
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: SchemeEMFStar, WeightMode: WeightsGeneral})
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 0.25), WithScheme(SchemeEMFStar), WithWeights(WeightsGeneral))
 	est, err := d.Run(rng.New(14), vals, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.2)
 	if err != nil {
 		t.Fatal(err)

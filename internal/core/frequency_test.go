@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,16 +11,16 @@ import (
 )
 
 func TestNewFreqDAPValidation(t *testing.T) {
-	if _, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.25, K: 1}); err == nil {
+	if _, err := Build(NewSpec(FrequencyTask(1), WithBudget(1, 0.25))); err == nil {
 		t.Fatal("K=1 accepted")
 	}
-	if _, err := NewFreqDAP(FreqParams{Eps: 0, Eps0: 0.25, K: 5}); err == nil {
+	if _, err := Build(NewSpec(FrequencyTask(5), WithBudget(0, 0.25))); err == nil {
 		t.Fatal("bad budgets accepted")
 	}
 }
 
 func TestFreqCollectValidation(t *testing.T) {
-	d, _ := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.5, K: 15})
+	d := buildAs[*FreqDAP](t, FrequencyTask(15), WithBudget(1, 0.5), WithScheme(SchemeEMF))
 	cov := dataset.COVID19()
 	cats := cov.Sample(rng.New(1), 1000)
 	if _, err := d.CollectFreq(rng.New(2), cats, nil, 0.25); err == nil {
@@ -38,15 +39,12 @@ func TestFreqDAPDefendsSingleCategory(t *testing.T) {
 	cats := cov.Sample(rng.New(3), 30000)
 	trueFreqs := cov.Freqs()
 	for _, scheme := range Schemes() {
-		d, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.25, K: 15, Scheme: scheme})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := buildAs[*FreqDAP](t, FrequencyTask(15), WithBudget(1, 0.25), WithScheme(scheme))
 		col, err := d.CollectFreq(rng.New(4), cats, []int{10}, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := d.EstimateFreq(col)
+		est, err := d.EstimateHist(context.Background(), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,15 +67,12 @@ func TestFreqDAPMultiCategory(t *testing.T) {
 	cov := dataset.COVID19()
 	cats := cov.Sample(rng.New(5), 30000)
 	trueFreqs := cov.Freqs()
-	d, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.25, K: 15, Scheme: SchemeCEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*FreqDAP](t, FrequencyTask(15), WithBudget(1, 0.25), WithScheme(SchemeCEMFStar))
 	col, err := d.CollectFreq(rng.New(6), cats, []int{10, 11, 12}, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := d.EstimateFreq(col)
+	est, err := d.EstimateHist(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +89,8 @@ func TestFreqDAPNoAttack(t *testing.T) {
 	cov := dataset.COVID19()
 	cats := cov.Sample(rng.New(7), 20000)
 	trueFreqs := cov.Freqs()
-	d, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.25, K: 15, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := d.RunFreq(rng.New(8), cats, nil, 0)
+	d := buildAs[*FreqDAP](t, FrequencyTask(15), WithBudget(1, 0.25), WithScheme(SchemeEMFStar))
+	est, err := d.RunCats(rng.New(8), cats, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +100,11 @@ func TestFreqDAPNoAttack(t *testing.T) {
 }
 
 func TestFreqEstimateValidation(t *testing.T) {
-	d, _ := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.5, K: 5})
-	if _, err := d.EstimateFreq(nil); err == nil {
+	d := buildAs[*FreqDAP](t, FrequencyTask(5), WithBudget(1, 0.5), WithScheme(SchemeEMF))
+	if _, err := d.EstimateHist(context.Background(), nil); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, err := d.EstimateFreq(&FreqCollection{Counts: [][]float64{{1, 2}}}); err == nil {
+	if _, err := d.EstimateHist(context.Background(), &HistCollection{Counts: [][]float64{{1, 2}}}); err == nil {
 		t.Fatal("wrong shape accepted")
 	}
 }

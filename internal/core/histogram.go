@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/emf"
@@ -51,15 +52,13 @@ func (hc *HistCollection) sum(t int) float64 {
 // reproduces Estimate on the same reports exactly. Under AutoOPrime the
 // Theorem 2 trimmed mean is computed from the smallest-budget histogram
 // (bucket centers stand in for the sorted raw reports), the only place the
-// two paths can differ — by at most one bucket width.
-func (d *DAP) EstimateHist(hc *HistCollection) (*Estimate, error) {
-	return d.EstimateHistWarm(hc, nil)
-}
-
-// EstimateHistWarm is EstimateHist with the solver runs seeded from a
-// previous estimate's fits — the streaming engine's epoch re-estimation
-// path (tolerance-equivalent to the cold run; see WarmState).
-func (d *DAP) EstimateHistWarm(hc *HistCollection, warm *WarmState) (*Estimate, error) {
+// two paths can differ — by at most one bucket width. A warm state
+// attached to ctx seeds the solver runs — the streaming engine's epoch
+// re-estimation path (tolerance-equivalent to the cold run; see WarmState).
+func (d *DAP) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
 	h := d.H()
 	if err := hc.validate(h); err != nil {
 		return nil, err
@@ -89,7 +88,7 @@ func (d *DAP) EstimateHistWarm(hc *HistCollection, warm *WarmState) (*Estimate, 
 		}
 		sums[t] = hc.sum(t)
 	}
-	return d.estimateFromCounts(matrices, hc.Counts, sums, ns, nil, warm)
+	return d.estimateFromCounts(matrices, hc.Counts, sums, ns, nil, WarmFromContext(ctx))
 }
 
 // outCenters returns the output-bucket midpoints of a transform matrix —
@@ -163,14 +162,14 @@ func trimHistTop(counts []float64, frac float64) []float64 {
 // histograms. The §V-D pessimistic O′ (trimmed EMS at the smallest budget)
 // trims histogram mass instead of sorted raw reports; everything else is
 // the batch path fed by the same sufficient statistic. Sums are not used —
-// SW means come from the reconstructed input histogram.
-func (d *SWDAP) EstimateHist(hc *HistCollection) (*SWEstimate, error) {
-	return d.EstimateHistWarm(hc, nil)
-}
-
-// EstimateHistWarm is EstimateHist with the solver runs seeded from a
-// previous estimate's fits (tolerance-equivalent; see WarmState).
-func (d *SWDAP) EstimateHistWarm(hc *HistCollection, warm *WarmState) (*SWEstimate, error) {
+// SW means come from the reconstructed input histogram. A warm state
+// attached to ctx seeds the solver runs (tolerance-equivalent; see
+// WarmState).
+func (d *SWDAP) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	warm := WarmFromContext(ctx)
 	h := d.H()
 	if err := hc.validate(h); err != nil {
 		return nil, err
@@ -204,13 +203,13 @@ func (d *SWDAP) EstimateHistWarm(hc *HistCollection, warm *WarmState) (*SWEstima
 // top TrimFrac of the mass and running plain EMS on the rest. init
 // optionally seeds the EMS fit, which is returned for the warm state.
 func (d *SWDAP) pessimisticOHist(m *emf.Matrix, counts []float64, init *emf.Result) (float64, *emf.Result, error) {
-	frac := d.p.TrimFrac
+	frac := d.sp.TrimFrac
 	if frac <= 0 {
 		frac = 0.5
 	}
 	trimmed := trimHistTop(counts, frac)
 	res, err := emf.RunConstrained(m, trimmed, nil, 0,
-		emf.Config{Smooth: true, MaxIter: d.p.EMFMaxIter, Accelerate: true, Init: init})
+		emf.Config{Smooth: true, MaxIter: d.sp.EMFMaxIter, Accelerate: true, Init: init})
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -44,10 +45,11 @@ func TestEstimateHistEquivalence(t *testing.T) {
 		{"cemfstar-auto-oprime", SchemeCEMFStar, 0.2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: tc.scheme, AutoOPrime: tc.auto})
-			if err != nil {
-				t.Fatal(err)
+			opts := []Option{WithBudget(1, 0.25), WithScheme(tc.scheme)}
+			if tc.auto {
+				opts = append(opts, WithAutoOPrime(0))
 			}
+			d := buildAs[*DAP](t, MeanTask(), opts...)
 			r := rng.New(11)
 			values := make([]float64, 1500)
 			for i := range values {
@@ -57,11 +59,11 @@ func TestEstimateHistEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := d.Estimate(col)
+			batch, err := d.Estimate(context.Background(), col)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hist, err := d.EstimateHist(histFromCollection(t, d, col))
+			hist, err := d.EstimateHist(context.Background(), histFromCollection(t, d, col))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,18 +96,18 @@ func TestEstimateHistEquivalence(t *testing.T) {
 }
 
 func TestEstimateHistValidation(t *testing.T) {
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: SchemeEMF})
-	if _, err := d.EstimateHist(nil); err == nil {
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 0.25), WithScheme(SchemeEMF))
+	if _, err := d.EstimateHist(context.Background(), nil); err == nil {
 		t.Fatal("nil collection accepted")
 	}
-	if _, err := d.EstimateHist(&HistCollection{Counts: make([][]float64, 1)}); err == nil {
+	if _, err := d.EstimateHist(context.Background(), &HistCollection{Counts: make([][]float64, 1)}); err == nil {
 		t.Fatal("wrong group arity accepted")
 	}
 	hc := &HistCollection{Counts: make([][]float64, d.H()), Sums: make([]float64, d.H())}
 	for i := range hc.Counts {
 		hc.Counts[i] = make([]float64, 16)
 	}
-	if _, err := d.EstimateHist(hc); err == nil {
+	if _, err := d.EstimateHist(context.Background(), hc); err == nil {
 		t.Fatal("empty histograms accepted")
 	}
 }
@@ -143,10 +145,7 @@ func TestPessimisticOHistMatchesRaw(t *testing.T) {
 // SW: the histogram entry point must agree closely with the batch path
 // (the trimmed-EMS O′ is the only approximate stage).
 func TestSWEstimateHistCloseToBatch(t *testing.T) {
-	d, err := NewSWDAP(SWParams{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*SWDAP](t, DistributionTask(), WithBudget(1, 0.25), WithScheme(SchemeCEMFStar))
 	r := rng.New(5)
 	values := make([]float64, 1500)
 	for i := range values {
@@ -156,7 +155,7 @@ func TestSWEstimateHistCloseToBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := d.Estimate(col)
+	batch, err := d.Estimate(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +170,7 @@ func TestSWEstimateHistCloseToBatch(t *testing.T) {
 		}
 		hc.Counts[g] = m.Counts(col.Groups[g])
 	}
-	hist, err := d.EstimateHist(hc)
+	hist, err := d.EstimateHist(context.Background(), hc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,71 +1,50 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
 
 	"repro/internal/attack"
 	"repro/internal/emf"
+	"repro/internal/ldp"
 	"repro/internal/ldp/sw"
 	"repro/internal/stats"
 )
 
-// SWParams configures the Square Wave variant of DAP (§V-D): inputs live
-// in [0,1], perturbation uses SW, reconstruction uses EMS (EM with
-// smoothing), and the mean is read off the reconstructed input histogram
-// rather than the report sum.
-type SWParams struct {
-	Eps  float64
-	Eps0 float64
-	// Scheme selects EMF, EMF* or CEMF* (each running EMS-style with the
-	// smoothing step).
-	Scheme Scheme
-	// TrimFrac is the fraction removed from the poisoned side before the
-	// pessimistic O′ estimation (§V-D prescribes 50%; 0 selects it).
-	TrimFrac float64
-	// SuppressFactor is CEMF*'s threshold factor (0 selects 0.5).
-	SuppressFactor float64
-	// EMFMaxIter caps EM iterations (0 selects the emf default).
-	EMFMaxIter int
-	// WeightMode selects the aggregation weights.
-	WeightMode WeightMode
-}
-
-// SWDAP is the Square Wave instantiation of the protocol.
+// SWDAP is the Square Wave instantiation of the protocol (§V-D) — the
+// Estimator Build returns for TaskDistribution: inputs live in [0,1],
+// perturbation uses SW, reconstruction uses EMS (EM with smoothing), and
+// the mean is read off the reconstructed input histogram rather than the
+// report sum. The spec's TrimFrac is the fraction removed from the
+// poisoned side before the pessimistic O′ estimation (§V-D prescribes
+// 50%, selected when it is 0).
 type SWDAP struct {
-	p      SWParams
-	groups []Group
-	mechs  []*sw.Mechanism
+	protocol
+	mechs []*sw.Mechanism
 }
 
-// NewSWDAP validates parameters and precomputes the group layout.
-func NewSWDAP(p SWParams) (*SWDAP, error) {
-	if err := validateBudgets(p.Eps, p.Eps0); err != nil {
-		return nil, err
-	}
-	h := groupCount(p.Eps, p.Eps0)
-	d := &SWDAP{p: p, groups: make([]Group, h), mechs: make([]*sw.Mechanism, h)}
-	for t := 0; t < h; t++ {
-		eps := p.Eps / math.Pow(2, float64(t))
-		mech, err := sw.New(eps)
+// newSWDAP precomputes the group mechanisms of a validated, normalized
+// spec.
+func newSWDAP(sp Spec) (*SWDAP, error) {
+	d := &SWDAP{protocol: newProtocol(sp)}
+	d.mechs = make([]*sw.Mechanism, d.H())
+	for t, g := range d.groups {
+		mech, err := sw.New(g.Eps)
 		if err != nil {
 			return nil, fmt.Errorf("core: sw group %d: %w", t, err)
 		}
-		d.groups[t] = Group{Index: t, Eps: eps, Reports: 1 << t}
 		d.mechs[t] = mech
 	}
 	return d, nil
 }
 
-// H returns the group count.
-func (d *SWDAP) H() int { return len(d.groups) }
-
-// Groups returns the group layout.
-func (d *SWDAP) Groups() []Group { return append([]Group(nil), d.groups...) }
-
 // Mechanism returns group t's SW instance.
 func (d *SWDAP) Mechanism(t int) *sw.Mechanism { return d.mechs[t] }
+
+// OutputDomain returns group t's report domain.
+func (d *SWDAP) OutputDomain(t int) ldp.Domain { return d.mechs[t].OutputDomain() }
 
 // Collect simulates the user side over values in [0,1].
 func (d *SWDAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
@@ -109,24 +88,16 @@ func (d *SWDAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, ga
 	return col, nil
 }
 
-// SWEstimate extends Estimate with the reconstructed input distribution.
-type SWEstimate struct {
-	Estimate
-	// OPrime is the trimmed-EMS pessimistic mean used for side probing.
-	OPrime float64
-	// XHat is the aggregated normal-user input histogram (normalized),
-	// used for the distribution-estimation experiments (Fig. 8(a)).
-	XHat []float64
-}
-
-// Estimate runs the collector side over an SW collection.
-func (d *SWDAP) Estimate(col *Collection) (*SWEstimate, error) {
-	return d.EstimateWarm(col, nil)
-}
-
-// EstimateWarm is Estimate with the solver runs seeded from a previous
-// estimate's fits (tolerance-equivalent to the cold run; see WarmState).
-func (d *SWDAP) EstimateWarm(col *Collection, warm *WarmState) (*SWEstimate, error) {
+// Estimate runs the collector side over an SW collection. Its result
+// carries the reconstructed input distribution in XHat (normalized; the
+// Fig. 8(a) distribution-estimation output) and the trimmed-EMS
+// pessimistic mean in OPrime. A warm state attached to ctx seeds the
+// solver runs (tolerance-equivalent to the cold run; see WarmState).
+func (d *SWDAP) Estimate(ctx context.Context, col *Collection) (*Result, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	warm := WarmFromContext(ctx)
 	h := d.H()
 	if col == nil || len(col.Groups) != h {
 		return nil, badCollection("collection does not match group layout")
@@ -162,7 +133,7 @@ func (d *SWDAP) EstimateWarm(col *Collection, warm *WarmState) (*SWEstimate, err
 // reports by Estimate, from histogram mass by EstimateHist). oFit is the
 // EMS fit that produced O′ (carried into the warm state and telemetry);
 // warm optionally seeds every solver run.
-func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, ns []float64, oPrime float64, oFit *emf.Result, warm *WarmState) (*SWEstimate, error) {
+func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, ns []float64, oPrime float64, oFit *emf.Result, warm *WarmState) (*Result, error) {
 	h := d.H()
 	var diag emfDiag
 	diag.observe(oFit)
@@ -175,15 +146,14 @@ func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, n
 	side := probe.Side
 	gammaGlobal := probe.Chosen().Gamma()
 
-	est := &SWEstimate{
-		Estimate: Estimate{
-			PoisonedRight: side == emf.Right,
-			Gamma:         gammaGlobal,
-			GroupMeans:    make([]float64, h),
-			GroupGammas:   make([]float64, h),
-			NHat:          make([]float64, h),
-		},
-		OPrime: oPrime,
+	est := &Result{
+		Task:          TaskDistribution,
+		PoisonedRight: side == emf.Right,
+		Gamma:         gammaGlobal,
+		GroupMeans:    make([]float64, h),
+		GroupGammas:   make([]float64, h),
+		NHat:          make([]float64, h),
+		OPrime:        oPrime,
 	}
 	b := make([]float64, h)
 	bases := make([]*emf.Result, h)
@@ -207,7 +177,7 @@ func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, n
 		}
 		var res, base *emf.Result
 		var gammaT float64
-		switch d.p.Scheme {
+		switch d.scheme {
 		case SchemeEMFStar:
 			// The unconstrained base fit is unused under EMF*; skip it.
 			cfg.Init = wFinal
@@ -216,15 +186,11 @@ func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, n
 			}
 			gammaT = gammaGlobal
 		case SchemeCEMFStar:
-			factor := d.p.SuppressFactor
-			if factor <= 0 {
-				factor = 0.5
-			}
 			cfg.Init = wBase
 			if base, err = emf.Run(m, counts[t], poison, cfg); err != nil {
 				return nil, err
 			}
-			if res, err = emf.RunConcentrated(m, counts[t], base, gammaGlobal, factor, d.cfg(t)); err != nil {
+			if res, err = emf.RunConcentrated(m, counts[t], base, gammaGlobal, d.suppressFactor(), d.cfg(t)); err != nil {
 				return nil, err
 			}
 			gammaT = res.Gamma()
@@ -250,7 +216,7 @@ func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, n
 		if mHat > 0.95*nt {
 			mHat = 0.95 * nt
 		}
-		est.NHat[t] = (nt - mHat) * d.groups[t].Eps / d.p.Eps
+		est.NHat[t] = (nt - mHat) * d.groups[t].Eps / d.sp.Eps
 		b[t] = est.NHat[t] * d.mechs[t].WorstCaseVar()
 		// Aggregate the distribution estimate from the largest-budget group
 		// histogram resolution by accumulating normalized x̂ weighted by n̂.
@@ -264,7 +230,7 @@ func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, n
 			}
 		}
 	}
-	w, err := OptimalWeights(b, est.NHat, d.p.WeightMode)
+	w, err := OptimalWeights(b, est.NHat, d.weights)
 	if err != nil {
 		return nil, err
 	}
@@ -272,18 +238,18 @@ func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, n
 	est.VarMin = MinVariance(b, est.NHat)
 	est.Mean = Aggregate(est.GroupMeans, w)
 	est.XHat = stats.Normalize(xAgg)
-	diag.apply(&est.Estimate)
+	diag.apply(est)
 	est.Warm = &WarmState{probeL: probe.Left, probeR: probe.Right, oFit: oFit, bases: bases, finals: finals}
 	return est, nil
 }
 
 // Run is Collect followed by Estimate.
-func (d *SWDAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*SWEstimate, error) {
+func (d *SWDAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
 	col, err := d.Collect(r, values, adv, gamma)
 	if err != nil {
 		return nil, err
 	}
-	return d.Estimate(col)
+	return d.Estimate(context.Background(), col)
 }
 
 // pessimisticO estimates O′ for SW by removing the top TrimFrac of the
@@ -291,7 +257,7 @@ func (d *SWDAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma 
 // Theorem 2). init optionally seeds the EMS fit; the fit is returned for
 // the next estimate's warm state.
 func (d *SWDAP) pessimisticO(m *emf.Matrix, reports []float64, init *emf.Result) (float64, *emf.Result, error) {
-	frac := d.p.TrimFrac
+	frac := d.sp.TrimFrac
 	if frac <= 0 {
 		frac = 0.5
 	}
@@ -311,15 +277,18 @@ func (d *SWDAP) pessimisticO(m *emf.Matrix, reports []float64, init *emf.Result)
 	}
 	counts := m.Counts(kept)
 	res, err := emf.RunConstrained(m, counts, nil, 0,
-		emf.Config{Smooth: true, MaxIter: d.p.EMFMaxIter, Accelerate: true, Init: init})
+		emf.Config{Smooth: true, MaxIter: d.sp.EMFMaxIter, Accelerate: true, Init: init})
 	if err != nil {
 		return 0, nil, err
 	}
 	return stats.Clamp(stats.HistMean(res.X, m.InCenters()), 0, 1), res, nil
 }
 
+// cfg is the shared EM controls with the EMS smoothing step.
 func (d *SWDAP) cfg(t int) emf.Config {
-	return emf.Config{Tol: emf.PaperTol(d.groups[t].Eps), MaxIter: d.p.EMFMaxIter, Smooth: true, Accelerate: true}
+	cfg := d.protocol.cfg(t)
+	cfg.Smooth = true
+	return cfg
 }
 
 // SWSingle reconstructs the input distribution from one single-budget SW

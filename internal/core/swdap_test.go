@@ -22,16 +22,13 @@ func values01(seed uint64, n int) ([]float64, float64) {
 }
 
 func TestNewSWDAPValidation(t *testing.T) {
-	if _, err := NewSWDAP(SWParams{Eps: 0, Eps0: 1}); err == nil {
+	if _, err := Build(NewSpec(DistributionTask(), WithBudget(0, 1))); err == nil {
 		t.Fatal("bad budgets accepted")
 	}
 }
 
 func TestSWDAPNoAttack(t *testing.T) {
-	d, err := NewSWDAP(SWParams{Eps: 1, Eps0: 0.25, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*SWDAP](t, DistributionTask(), WithBudget(1, 0.25), WithScheme(SchemeEMFStar))
 	vals, trueMean := values01(1, 15000)
 	est, err := d.Run(rng.New(2), vals, attack.None{}, 0)
 	if err != nil {
@@ -51,10 +48,7 @@ func TestSWDAPNoAttack(t *testing.T) {
 func TestSWDAPDefends(t *testing.T) {
 	vals, trueMean := values01(3, 15000)
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	d, err := NewSWDAP(SWParams{Eps: 1, Eps0: 0.25, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*SWDAP](t, DistributionTask(), WithBudget(1, 0.25), WithScheme(SchemeEMFStar))
 	est, err := d.Run(rng.New(4), vals, adv, 0.25)
 	if err != nil {
 		t.Fatal(err)

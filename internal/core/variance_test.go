@@ -10,12 +10,11 @@ import (
 )
 
 func TestVarianceEstimatorValidation(t *testing.T) {
-	ve := &VarianceEstimator{Params: Params{Eps: 1, Eps0: 0.25}}
+	ve := buildAs[Runner](t, VarianceTask(), WithBudget(1, 0.25), WithScheme(SchemeEMF))
 	if _, err := ve.Run(rng.New(1), []float64{1, 2}, nil, 0); err == nil {
 		t.Fatal("too few users accepted")
 	}
-	bad := &VarianceEstimator{Params: Params{Eps: 0, Eps0: 1}}
-	if _, err := bad.Run(rng.New(1), make([]float64, 100), nil, 0); err == nil {
+	if _, err := Build(NewSpec(VarianceTask(), WithBudget(0, 1), WithScheme(SchemeEMF))); err == nil {
 		t.Fatal("bad params accepted")
 	}
 }
@@ -23,7 +22,7 @@ func TestVarianceEstimatorValidation(t *testing.T) {
 func TestVarianceEstimatorClean(t *testing.T) {
 	vals, _ := uniformValues(1, 30000, -0.6, 0.6)
 	trueVar := stats.Variance(vals)
-	ve := &VarianceEstimator{Params: Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar}}
+	ve := buildAs[Runner](t, VarianceTask(), WithBudget(1, 1.0/16), WithScheme(SchemeEMFStar))
 	est, err := ve.Run(rng.New(2), vals, attack.None{}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +39,8 @@ func TestVarianceEstimatorUnderAttack(t *testing.T) {
 	vals, _ := uniformValues(3, 30000, -0.6, 0.6)
 	trueVar := stats.Variance(vals)
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	ve := &VarianceEstimator{Params: Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar}}
-	est, err := ve.Run(rng.New(4), vals, adv, 0.25)
+	ve := buildAs[Estimator](t, VarianceTask(), WithBudget(1, 1.0/16), WithScheme(SchemeEMFStar))
+	est, err := ve.(Runner).Run(rng.New(4), vals, adv, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,9 @@ func TestVarianceEstimatorUnderAttack(t *testing.T) {
 	if math.Abs(est.Variance-trueVar) > 0.15 {
 		t.Fatalf("defended variance %v, want ~%v", est.Variance, trueVar)
 	}
-	if est.MeanEst == nil || est.MomentEst == nil {
+	// Both underlying half estimates (mean, then second moment) are
+	// present in the group diagnostics.
+	if h := len(ve.Groups()); len(est.GroupMeans) != h || len(est.Weights) != h {
 		t.Fatal("underlying estimates missing")
 	}
 }
@@ -58,10 +59,7 @@ func TestVarianceEstimatorUnderAttack(t *testing.T) {
 func TestDAPAutoOPrime(t *testing.T) {
 	vals, trueMean := uniformValues(5, 15000, -0.8, 0)
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	d, err := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: SchemeEMFStar, AutoOPrime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 0.25), WithAutoOPrime(0), WithScheme(SchemeEMFStar))
 	est, err := d.Run(rng.New(6), vals, adv, 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +79,7 @@ func TestDAPAutoOPrime(t *testing.T) {
 
 func TestDAPFixedOPrimeRecorded(t *testing.T) {
 	vals, _ := uniformValues(7, 9000, -0.5, 0.5)
-	d, err := NewDAP(Params{Eps: 1, Eps0: 0.25, OPrime: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 0.25), WithOPrime(0.1), WithScheme(SchemeEMF))
 	est, err := d.Run(rng.New(8), vals, attack.None{}, 0)
 	if err != nil {
 		t.Fatal(err)

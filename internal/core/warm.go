@@ -81,6 +81,12 @@ func (w *WarmState) subState(i int) *WarmState {
 	return w.sub[i]
 }
 
+// withSubWarm re-keys ctx to the i-th sub-state of its warm state (nil
+// included), so each part of a composite estimator sees only its own fits.
+func withSubWarm(ctx context.Context, i int) context.Context {
+	return context.WithValue(ctx, warmCtxKey{}, WarmFromContext(ctx).subState(i))
+}
+
 // warmCtxKey keys the warm state in a context.
 type warmCtxKey struct{}
 
@@ -140,7 +146,7 @@ func (d *emfDiag) merge(o emfDiag) {
 }
 
 // apply writes the accumulated telemetry into an estimate.
-func (d *emfDiag) apply(e *Estimate) {
+func (d *emfDiag) apply(e *Result) {
 	e.EMFIters = d.iters
 	e.EMFRestarts = d.restarts
 	e.WarmHits = d.warmHits

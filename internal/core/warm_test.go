@@ -13,10 +13,7 @@ import (
 // warmMeanFixture builds a mean-task DAP and one attacked collection.
 func warmMeanFixture(t *testing.T, scheme Scheme) (*DAP, *Collection) {
 	t.Helper()
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: scheme})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 1.0/16), WithScheme(scheme))
 	r := rng.New(21)
 	values := make([]float64, 6000)
 	for i := range values {
@@ -36,11 +33,11 @@ func TestWarmStartToleranceEquivalence(t *testing.T) {
 	t.Run("pm", func(t *testing.T) {
 		for _, scheme := range Schemes() {
 			d, col := warmMeanFixture(t, scheme)
-			cold, err := d.Estimate(col)
+			cold, err := d.Estimate(context.Background(), col)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := d.EstimateWarm(col, cold.Warm)
+			warm, err := d.Estimate(WithWarm(context.Background(), cold.Warm), col)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,10 +58,7 @@ func TestWarmStartToleranceEquivalence(t *testing.T) {
 		}
 	})
 	t.Run("sw", func(t *testing.T) {
-		d, err := NewSWDAP(SWParams{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := buildAs[*SWDAP](t, DistributionTask(), WithBudget(1, 1.0/16), WithScheme(SchemeEMFStar))
 		r := rng.New(22)
 		values := make([]float64, 6000)
 		for i := range values {
@@ -74,11 +68,11 @@ func TestWarmStartToleranceEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := d.Estimate(col)
+		cold, err := d.Estimate(context.Background(), col)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := d.EstimateWarm(col, cold.Warm)
+		warm, err := d.Estimate(WithWarm(context.Background(), cold.Warm), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,10 +92,7 @@ func TestWarmStartToleranceEquivalence(t *testing.T) {
 		}
 	})
 	t.Run("krr", func(t *testing.T) {
-		f, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 1.0 / 16, K: 12, Scheme: SchemeEMFStar})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := buildAs[*FreqDAP](t, FrequencyTask(12), WithBudget(1, 1.0/16), WithScheme(SchemeEMFStar))
 		r := rng.New(23)
 		cats := make([]int, 8000)
 		for i := range cats {
@@ -111,11 +102,11 @@ func TestWarmStartToleranceEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := f.EstimateFreq(col)
+		cold, err := f.EstimateHist(context.Background(), col)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := f.EstimateFreqWarm(col, cold.Warm)
+		warm, err := f.EstimateHist(WithWarm(context.Background(), cold.Warm), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,10 +128,7 @@ func TestWarmStartToleranceEquivalence(t *testing.T) {
 // collection's fits (neighbouring γ) must agree with the cold estimate of
 // the same collection within tolerance.
 func TestWarmStartAcrossCollections(t *testing.T) {
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeCEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 1.0/16), WithScheme(SchemeCEMFStar))
 	r := rng.New(31)
 	values := make([]float64, 6000)
 	for i := range values {
@@ -155,15 +143,15 @@ func TestWarmStartAcrossCollections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := d.Estimate(colA)
+	first, err := d.Estimate(context.Background(), colA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldB, err := d.Estimate(colB)
+	coldB, err := d.Estimate(context.Background(), colB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmB, err := d.EstimateWarm(colB, first.Warm)
+	warmB, err := d.Estimate(WithWarm(context.Background(), first.Warm), colB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +216,11 @@ func TestWarmStateViaContext(t *testing.T) {
 // cold start, not crash or corrupt the estimate.
 func TestWarmStateLayoutMismatch(t *testing.T) {
 	d, col := warmMeanFixture(t, SchemeEMFStar)
-	cold, err := d.Estimate(col)
+	cold, err := d.Estimate(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := NewDAP(Params{Eps: 2, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := buildAs[*DAP](t, MeanTask(), WithBudget(2, 1.0/16), WithScheme(SchemeEMFStar))
 	r := rng.New(51)
 	values := make([]float64, 6000)
 	for i := range values {
@@ -245,13 +230,13 @@ func TestWarmStateLayoutMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	estOther, err := other.Estimate(colOther)
+	estOther, err := other.Estimate(context.Background(), colOther)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 6-group warm state fed to a 5-group protocol with different bucket
 	// resolutions: every seed is shape-checked away.
-	res, err := d.EstimateWarm(col, estOther.Warm)
+	res, err := d.Estimate(WithWarm(context.Background(), estOther.Warm), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +252,7 @@ func TestEstimateHistIterationAllocsStable(t *testing.T) {
 		t.Skip("race instrumentation allocates; guard applies to production builds")
 	}
 	build := func(maxIter int) *DAP {
-		d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar, EMFMaxIter: maxIter})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := buildAs[*DAP](t, MeanTask(), WithBudget(1, 1.0/16), WithScheme(SchemeEMFStar), WithEMFMaxIter(maxIter))
 		return d
 	}
 	dShort, dLong := build(6), build(120)
@@ -278,11 +260,11 @@ func TestEstimateHistIterationAllocsStable(t *testing.T) {
 	hc := histFromCollection(t, dShort, col)
 	measure := func(d *DAP) float64 {
 		// Warm the matrix cache and state pool off the measurement.
-		if _, err := d.EstimateHist(hc); err != nil {
+		if _, err := d.EstimateHist(context.Background(), hc); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := d.EstimateHist(hc); err != nil {
+			if _, err := d.EstimateHist(context.Background(), hc); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -296,10 +278,7 @@ func TestEstimateHistIterationAllocsStable(t *testing.T) {
 }
 
 func BenchmarkEstimateHist(b *testing.B) {
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar, EMFMaxIter: 60})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := buildAs[*DAP](b, MeanTask(), WithBudget(1, 1.0/16), WithScheme(SchemeEMFStar), WithEMFMaxIter(60))
 	r := rng.New(61)
 	values := make([]float64, 6000)
 	for i := range values {
@@ -324,7 +303,7 @@ func BenchmarkEstimateHist(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.EstimateHist(hc); err != nil {
+		if _, err := d.EstimateHist(context.Background(), hc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -74,11 +75,8 @@ func ingestCollection(t *testing.T, tn *stream.Tenant, col *core.Collection, wor
 // collection.
 func TestEngineEquivalenceBitForBit(t *testing.T) {
 	const n = 1404
-	p := core.Params{Eps: 1, Eps0: 0.25, Scheme: core.SchemeCEMFStar}
-	d, err := core.NewDAP(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := core.NewSpec(core.MeanTask(), core.WithBudget(1, 0.25), core.WithScheme(core.SchemeCEMFStar))
+	d := buildAs[*core.DAP](t, sp)
 	r := rng.New(9)
 	values := make([]float64, n)
 	for i := range values {
@@ -88,14 +86,13 @@ func TestEngineEquivalenceBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := d.Estimate(col)
+	batch, err := d.Estimate(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	tn, err := stream.NewTenant("eq", stream.Config{
-		Spec: core.Spec{Task: core.TaskMean, Eps: p.Eps, Eps0: p.Eps0,
-			Scheme: p.Scheme.String()},
+		Spec:          sp,
 		ExpectedUsers: n, Shards: 1,
 	})
 	if err != nil {
@@ -131,11 +128,8 @@ func TestEngineEquivalenceBitForBit(t *testing.T) {
 // must agree to 1e-12.
 func TestEngineEquivalenceConcurrent(t *testing.T) {
 	const n = 1404
-	p := core.Params{Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar}
-	d, err := core.NewDAP(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := core.NewSpec(core.MeanTask(), core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar))
+	d := buildAs[*core.DAP](t, sp)
 	r := rng.New(10)
 	values := make([]float64, n)
 	for i := range values {
@@ -145,13 +139,12 @@ func TestEngineEquivalenceConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := d.Estimate(col)
+	batch, err := d.Estimate(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tn, err := stream.NewTenant("eqc", stream.Config{
-		Spec: core.Spec{Task: core.TaskMean, Eps: p.Eps, Eps0: p.Eps0,
-			Scheme: p.Scheme.String()},
+		Spec:          sp,
 		ExpectedUsers: n, Shards: 8,
 	})
 	if err != nil {
@@ -182,8 +175,8 @@ func TestEngineEquivalenceConcurrent(t *testing.T) {
 // re-association of float addition across epoch boundaries.
 func TestEquivalenceAcrossEpochs(t *testing.T) {
 	const n = 903
-	p := core.Params{Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar}
-	d, _ := core.NewDAP(p)
+	sp := core.NewSpec(core.MeanTask(), core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar))
+	d := buildAs[*core.DAP](t, sp)
 	r := rng.New(12)
 	values := make([]float64, n)
 	for i := range values {
@@ -193,13 +186,12 @@ func TestEquivalenceAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := d.Estimate(col)
+	batch, err := d.Estimate(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tn, err := stream.NewTenant("ep", stream.Config{
-		Spec: core.Spec{Task: core.TaskMean, Eps: p.Eps, Eps0: p.Eps0,
-			Scheme: p.Scheme.String()},
+		Spec:          sp,
 		ExpectedUsers: n, Shards: 1,
 		Window: stream.WindowConfig{Mode: stream.Sliding, Span: 16},
 	})

@@ -43,26 +43,6 @@ import (
 	"repro/internal/core"
 )
 
-// Kind is the historical tenant-kind enum, now unified with the task-spec
-// API's kinds.
-//
-// Deprecated: use core.TaskKind.
-type Kind = core.TaskKind
-
-// Historical kind names.
-//
-// Deprecated: use the core.Task* constants.
-const (
-	KindMean = core.TaskMean
-	KindFreq = core.TaskFrequency
-	KindDist = core.TaskDistribution
-)
-
-// ParseKind parses a tenant kind name.
-//
-// Deprecated: use core.ParseTask.
-func ParseKind(s string) (Kind, error) { return core.ParseTask(s) }
-
 // WindowMode selects the epoch window shape.
 type WindowMode int
 

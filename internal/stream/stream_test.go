@@ -53,6 +53,16 @@ func fillTenant(t *testing.T, tn *stream.Tenant, r *rand.Rand, usersPerGroup int
 	}
 }
 
+// buildAs builds sp and returns its estimator as the concrete type T.
+func buildAs[T any](t testing.TB, sp core.Spec) T {
+	t.Helper()
+	est, err := core.Build(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est.(T)
+}
+
 func itoa(i int) string {
 	if i == 0 {
 		return "0"
@@ -68,14 +78,14 @@ func itoa(i int) string {
 func TestParsers(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
-		want stream.Kind
-	}{{"mean", stream.KindMean}, {"", stream.KindMean}, {"freq", stream.KindFreq}, {"sw", stream.KindDist}} {
-		k, err := stream.ParseKind(tc.in)
+		want core.TaskKind
+	}{{"mean", core.TaskMean}, {"", core.TaskMean}, {"freq", core.TaskFrequency}, {"sw", core.TaskDistribution}} {
+		k, err := core.ParseTask(tc.in)
 		if err != nil || k != tc.want {
-			t.Fatalf("ParseKind(%q) = %v, %v", tc.in, k, err)
+			t.Fatalf("ParseTask(%q) = %v, %v", tc.in, k, err)
 		}
 	}
-	if _, err := stream.ParseKind("nope"); err == nil {
+	if _, err := core.ParseTask("nope"); err == nil {
 		t.Fatal("bad kind accepted")
 	}
 	if m, err := stream.ParseWindowMode("sliding"); err != nil || m != stream.Sliding {
@@ -455,10 +465,8 @@ func TestFreqTenantEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq, err := core.NewFreqDAP(core.FreqParams{Eps: 2, Eps0: 1, K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	freq := buildAs[*core.FreqDAP](t, core.NewSpec(core.FrequencyTask(4), core.WithBudget(2, 1),
+		core.WithScheme(core.SchemeEMF)))
 	for g, grp := range tn.Groups() {
 		mech := freq.Mechanism(g)
 		for i := 0; i < 400; i++ {

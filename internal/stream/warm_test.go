@@ -33,10 +33,8 @@ func warmTenantPair(t *testing.T) (warm, cold *stream.Tenant) {
 	}
 	warm, cold = mk(true), mk(false)
 
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[*core.DAP](t, core.NewSpec(core.MeanTask(), core.WithBudget(1, 0.25),
+		core.WithScheme(core.SchemeEMFStar)))
 	r := rng.New(71)
 	values := make([]float64, n)
 	for i := range values {

@@ -84,20 +84,6 @@ type Server struct {
 	udpAddr atomic.Pointer[string]
 }
 
-// NewServer builds a collector whose default tenant runs mean estimation
-// with the given protocol parameters — the original single-collector
-// construction, preserved for compatibility.
-//
-// Deprecated: use NewServerSpec with a task spec.
-func NewServer(p core.Params) (*Server, error) {
-	return NewServerSpec(core.Spec{
-		Task: core.TaskMean, Eps: p.Eps, Eps0: p.Eps0, Scheme: p.Scheme.String(),
-		Weights: p.WeightMode.String(),
-		OPrime:  p.OPrime, AutoOPrime: p.AutoOPrime, GammaSup: p.GammaSup,
-		SuppressFactor: p.SuppressFactor, EMFMaxIter: p.EMFMaxIter,
-	})
-}
-
 // NewServerSpec builds a collector whose default tenant runs the given
 // task spec (honouring its Serve section) — the one-call spec→service
 // path used by cmd/dapcollect and cmd/daploadgen.
@@ -588,12 +574,11 @@ func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	sp, err := tenantSpec(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+	if req.Spec == nil {
+		writeErr(w, http.StatusBadRequest, "tenant request: missing required field spec (the task spec)")
 		return
 	}
-	t, err := s.regP.Load().CreateSpec(req.Name, sp)
+	t, err := s.regP.Load().CreateSpec(req.Name, *req.Spec)
 	if err != nil {
 		status := http.StatusConflict
 		if errors.Is(err, core.ErrBadSpec) {
@@ -607,29 +592,6 @@ func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, tenantStatusResponse(t))
-}
-
-// tenantSpec resolves the task spec of a creation request: the embedded
-// spec when present, otherwise the deprecated flat fields folded into an
-// equivalent spec — one parsing path for both wire shapes, feeding
-// Registry.CreateSpec like every other spec consumer.
-func tenantSpec(req TenantRequest) (core.Spec, error) {
-	if req.Spec != nil {
-		return *req.Spec, nil
-	}
-	task, err := core.ParseTask(req.Kind)
-	if err != nil {
-		return core.Spec{}, err
-	}
-	return core.Spec{
-		Task: task, Eps: req.Eps, Eps0: req.Eps0, Scheme: req.Scheme, K: req.K,
-		OPrime: req.OPrime, AutoOPrime: req.AutoOPrime, GammaSup: req.GammaSup,
-		TrimFrac: req.TrimFrac,
-		Serve: &core.ServeSpec{
-			Buckets: req.Buckets, ExpectedUsers: req.ExpectedUsers, Shards: req.Shards,
-			Window: req.WindowMode, Span: req.WindowSpan, EpochMs: req.EpochMs,
-		},
-	}, nil
 }
 
 func (s *Server) handleTenantStatus(w http.ResponseWriter, _ *http.Request, t *stream.Tenant) {

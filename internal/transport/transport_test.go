@@ -3,7 +3,9 @@ package transport
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -14,7 +16,8 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	srv, err := NewServer(core.Params{Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar})
+	srv, err := NewServerSpec(core.NewSpec(core.MeanTask(), core.WithBudget(1, 0.25),
+		core.WithScheme(core.SchemeEMFStar)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +194,7 @@ func TestSubmitPoisonClamps(t *testing.T) {
 }
 
 func TestServerRejectsBadParams(t *testing.T) {
-	if _, err := NewServer(core.Params{Eps: -1, Eps0: 1}); err == nil {
+	if _, err := NewServerSpec(core.NewSpec(core.MeanTask(), core.WithBudget(-1, 1))); err == nil {
 		t.Fatal("bad params accepted")
 	}
 }
@@ -240,20 +243,33 @@ func TestTenantCRUDAndRoutes(t *testing.T) {
 		t.Fatalf("tenants = %+v", ls.Tenants)
 	}
 	// Create a frequency tenant and drive it through its scoped routes.
-	created, err := c.CreateTenant(ctx, TenantRequest{
-		Name: "clicks", Kind: "freq", Eps: 2, Eps0: 1, K: 3, Scheme: "emfstar",
-	})
+	clicks := core.NewSpec(core.FrequencyTask(3), core.WithBudget(2, 1), core.WithScheme(core.SchemeEMFStar))
+	created, err := c.CreateTenant(ctx, TenantRequest{Name: "clicks", Spec: &clicks})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if created.Kind != "frequency" || created.Spec.K != 3 {
 		t.Fatalf("created = %+v", created)
 	}
-	if _, err := c.CreateTenant(ctx, TenantRequest{Name: "clicks", Kind: "freq", Eps: 2, Eps0: 1, K: 3}); err == nil {
+	dup := core.NewSpec(core.FrequencyTask(3), core.WithBudget(2, 1))
+	if _, err := c.CreateTenant(ctx, TenantRequest{Name: "clicks", Spec: &dup}); err == nil {
 		t.Fatal("duplicate tenant accepted")
 	}
-	if _, err := c.CreateTenant(ctx, TenantRequest{Name: "bad", Kind: "nope", Eps: 1, Eps0: 1}); err == nil {
+	bad := core.Spec{Task: "nope", Eps: 1, Eps0: 1}
+	if _, err := c.CreateTenant(ctx, TenantRequest{Name: "bad", Spec: &bad}); err == nil {
 		t.Fatal("bad kind accepted")
+	}
+	// A body without a spec (the retired flat shape) is a 400 that names
+	// the missing field.
+	resp, err := c.hc.Post(c.base+"/v1/tenants", "application/json",
+		strings.NewReader(`{"name":"flat","kind":"freq","eps":2,"eps0":1,"k":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "missing required field spec") {
+		t.Fatalf("spec-less tenant request: %d %s", resp.StatusCode, body)
 	}
 	tc := c.Tenant("clicks")
 	cfg, err := tc.Config(ctx)

@@ -136,30 +136,12 @@ type EstimateResponse struct {
 }
 
 // TenantRequest is the body of POST /v1/tenants: a name plus the task
-// spec. The flat fields are the pre-spec wire shape, still honoured when
-// Spec is absent; new clients send Spec — the same JSON consumed by
-// dap.Build, the stream engine and the CLIs.
+// spec — the same JSON consumed by dap.Build, the stream engine and the
+// CLIs. A request without a spec is rejected with 400.
 type TenantRequest struct {
 	Name string `json:"name"`
 	// Spec is the task spec (with optional Serve section).
 	Spec *core.Spec `json:"spec,omitempty"`
-
-	// Deprecated: pre-spec flat fields, used only when Spec is nil.
-	Kind          string  `json:"kind,omitempty"`
-	Eps           float64 `json:"eps,omitempty"`
-	Eps0          float64 `json:"eps0,omitempty"`
-	Scheme        string  `json:"scheme,omitempty"`
-	K             int     `json:"k,omitempty"`
-	Buckets       int     `json:"buckets,omitempty"`
-	ExpectedUsers int     `json:"expected_users,omitempty"`
-	Shards        int     `json:"shards,omitempty"`
-	WindowMode    string  `json:"window_mode,omitempty"`
-	WindowSpan    int     `json:"window_span,omitempty"`
-	EpochMs       int64   `json:"epoch_ms,omitempty"`
-	AutoOPrime    bool    `json:"auto_oprime,omitempty"`
-	OPrime        float64 `json:"oprime,omitempty"`
-	GammaSup      float64 `json:"gamma_sup,omitempty"`
-	TrimFrac      float64 `json:"trim_frac,omitempty"`
 }
 
 // TenantStatusResponse is returned by tenant CRUD and

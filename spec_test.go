@@ -1,17 +1,20 @@
 package dap
 
 // Task-spec API tests: JSON round-trip fidelity (marshal → unmarshal →
-// Build estimates bit-identically to the directly-constructed protocols,
-// for every task kind), validation error taxonomy, and the end-to-end
-// acceptance invariant — one JSON spec powering batch estimation, a
-// stream tenant and the wire API with equal results.
+// Build estimates bit-identically to outputs recorded from the reference
+// protocol constructors, for every task kind), validation error taxonomy,
+// and the end-to-end acceptance invariant — one JSON spec powering batch
+// estimation, a stream tenant and the wire API with equal results.
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -38,6 +41,17 @@ func roundTrip(t *testing.T, sp core.Spec) core.Spec {
 	return got
 }
 
+// buildAs builds the spec of task and opts and returns its estimator as
+// T (a concrete protocol type or a simulation interface).
+func buildAs[T any](t testing.TB, task Option, opts ...Option) T {
+	t.Helper()
+	est, err := Build(NewSpec(task, opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est.(T)
+}
+
 func testValues(seed uint64, n int) []float64 {
 	r := rng.New(seed)
 	vals := make([]float64, n)
@@ -47,8 +61,44 @@ func testValues(seed uint64, n int) []float64 {
 	return vals
 }
 
-// TestSpecRoundTripMean: a JSON-round-tripped mean spec estimates the
-// exact same Collection bit-identically to a directly-constructed DAP.
+// recorded is an estimate pinned bit for bit (math.Float64bits): the
+// output of the reference protocol constructors that preceded Build, on
+// the same seeds. The round-trip tests assert Build reproduces it
+// exactly.
+type recorded struct {
+	mean, gamma         uint64
+	right               bool
+	groupMeans, weights []uint64
+}
+
+// checkBits fails unless got is the float whose bits are want.
+func checkBits(t *testing.T, name string, got float64, want uint64) {
+	t.Helper()
+	if math.Float64bits(got) != want {
+		t.Fatalf("%s = %v (%#016x), recorded %v (%#016x)",
+			name, got, math.Float64bits(got), math.Float64frombits(want), want)
+	}
+}
+
+func (want recorded) check(t *testing.T, got *core.Result) {
+	t.Helper()
+	checkBits(t, "mean", got.Mean, want.mean)
+	checkBits(t, "gamma", got.Gamma, want.gamma)
+	if got.PoisonedRight != want.right {
+		t.Fatalf("poisoned side right=%v, recorded %v", got.PoisonedRight, want.right)
+	}
+	if len(got.GroupMeans) != len(want.groupMeans) || len(got.Weights) != len(want.weights) {
+		t.Fatalf("%d group means / %d weights, recorded %d / %d",
+			len(got.GroupMeans), len(got.Weights), len(want.groupMeans), len(want.weights))
+	}
+	for g := range want.groupMeans {
+		checkBits(t, "group mean "+strconv.Itoa(g), got.GroupMeans[g], want.groupMeans[g])
+		checkBits(t, "weight "+strconv.Itoa(g), got.Weights[g], want.weights[g])
+	}
+}
+
+// TestSpecRoundTripMean: a JSON-round-tripped mean spec estimates its own
+// collection bit-identically to the recorded reference DAP output.
 func TestSpecRoundTripMean(t *testing.T) {
 	sp := roundTrip(t, core.NewSpec(core.MeanTask(),
 		core.WithBudget(1, 0.25), core.WithScheme(core.SchemeCEMFStar),
@@ -57,16 +107,8 @@ func TestSpecRoundTripMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 0.25, Scheme: core.SchemeCEMFStar, EMFMaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := d.Collect(rng.New(5), testValues(4, 1500),
+	col, err := est.(core.Collector).Collect(rng.New(5), testValues(4, 1500),
 		attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := d.Estimate(col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +116,16 @@ func TestSpecRoundTripMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Mean != want.Mean || got.Gamma != want.Gamma || got.PoisonedRight != want.PoisonedRight {
-		t.Fatalf("spec estimate (%v, %v) != direct (%v, %v)", got.Mean, got.Gamma, want.Mean, want.Gamma)
-	}
-	for g := range want.GroupMeans {
-		if got.GroupMeans[g] != want.GroupMeans[g] || got.Weights[g] != want.Weights[g] {
-			t.Fatalf("group %d diverges", g)
-		}
-	}
+	recorded{
+		mean: 0xbfd8b6e428e0dd23, gamma: 0x3fc9ddc4405743ea, right: true,
+		groupMeans: []uint64{0xbfdb867cde588a29, 0xbfcc5b0556167110, 0xbfd52a7e3408a6a6},
+		weights:    []uint64{0x3fe879bcd770f3b9, 0x3fc818d8aba0554a, 0x3fa800cfda6f6f40},
+	}.check(t, got)
 }
 
-// TestSpecRoundTripDistribution: same invariant for the SW variant.
+// TestSpecRoundTripDistribution: same invariant for the SW variant; the
+// reconstructed histogram is pinned by length and an FNV-1a hash of its
+// float bits.
 func TestSpecRoundTripDistribution(t *testing.T) {
 	sp := roundTrip(t, core.NewSpec(core.DistributionTask(),
 		core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar),
@@ -93,19 +134,11 @@ func TestSpecRoundTripDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.NewSWDAP(core.SWParams{Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar, EMFMaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
 	vals := testValues(6, 1200)
 	for i, v := range vals {
 		vals[i] = (v + 1) / 2
 	}
-	col, err := d.Collect(rng.New(7), vals, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := d.Estimate(col)
+	col, err := est.(core.Collector).Collect(rng.New(7), vals, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,18 +146,24 @@ func TestSpecRoundTripDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Mean != want.Mean || got.Gamma != want.Gamma {
-		t.Fatalf("spec (%v, %v) != direct (%v, %v)", got.Mean, got.Gamma, want.Mean, want.Gamma)
+	recorded{
+		mean: 0x3fdead6d05d9da94, gamma: 0x3fc2178777af6e1a, right: true,
+		groupMeans: []uint64{0x3fe0a3baef754040, 0x3fdd036923702b4e, 0x3fdca7c222fd86bc},
+		weights:    []uint64{0x3fda6ce94fa81a10, 0x3fd431ceb9781672, 0x3fd16147f6dfcf7c},
+	}.check(t, got)
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range got.XHat {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
 	}
-	for i := range want.XHat {
-		if got.XHat[i] != want.XHat[i] {
-			t.Fatalf("xhat[%d] diverges", i)
-		}
+	if len(got.XHat) != 13 || h.Sum64() != 0xf669fe032345bfb6 {
+		t.Fatalf("xhat (%d buckets, hash %#x) diverges from the recorded histogram", len(got.XHat), h.Sum64())
 	}
 }
 
-// TestSpecRoundTripFrequency: same invariant for the k-RR variant, via
-// both the histogram and the raw-report faces.
+// TestSpecRoundTripFrequency: same invariant for the k-RR variant through
+// the histogram face.
 func TestSpecRoundTripFrequency(t *testing.T) {
 	sp := roundTrip(t, core.NewSpec(core.FrequencyTask(6),
 		core.WithBudget(2, 1), core.WithScheme(core.SchemeEMFStar),
@@ -133,40 +172,37 @@ func TestSpecRoundTripFrequency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.NewFreqDAP(core.FreqParams{Eps: 2, Eps0: 1, K: 6, Scheme: core.SchemeEMFStar, EMFMaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rng.New(8)
 	cats := make([]int, 2000)
 	for i := range cats {
 		cats[i] = r.IntN(3) // skewed to low categories
 	}
-	col, err := d.CollectFreq(rng.New(9), cats, []int{5}, 0.2)
+	col, err := est.(*core.FreqDAP).CollectFreq(rng.New(9), cats, []int{5}, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.EstimateFreq(col)
+	got, err := est.EstimateHist(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := est.EstimateHist(context.Background(), &core.HistCollection{Counts: col.Counts})
-	if err != nil {
-		t.Fatal(err)
+	want := []uint64{0x3fd1f6bc79958cb3, 0x3fd428952fc1122e, 0x3fd5b78e681da218,
+		0x3f63aea50661dec8, 0x3f74b764a77cd914, 0x3fad77288f083f30}
+	if len(got.Freqs) != len(want) {
+		t.Fatalf("%d frequencies, recorded %d", len(got.Freqs), len(want))
 	}
-	for j := range want.Freqs {
-		if got.Freqs[j] != want.Freqs[j] {
-			t.Fatalf("freq[%d]: spec %v direct %v", j, got.Freqs[j], want.Freqs[j])
-		}
+	for j := range want {
+		checkBits(t, "freq "+strconv.Itoa(j), got.Freqs[j], want[j])
 	}
-	if len(got.PoisonCats) != len(want.PoisonCats) {
-		t.Fatalf("poison cats: %v vs %v", got.PoisonCats, want.PoisonCats)
+	checkBits(t, "gamma", got.Gamma, 0x3fc808e7dd6a3214)
+	if !reflect.DeepEqual(got.PoisonCats, []int{3, 4, 5}) {
+		t.Fatalf("poison cats %v, recorded [3 4 5]", got.PoisonCats)
 	}
 }
 
-// TestSpecRoundTripVariance: the variance adapter consumes the rng in the
-// same order as the §V-D VarianceEstimator, so equal seeds give equal
-// results through the round-tripped spec.
+// TestSpecRoundTripVariance: the variance estimator consumes the rng in
+// the order of the §V-D reference (split, collect the mean half, collect
+// the moment half), so the recorded moments reproduce through the
+// round-tripped spec.
 func TestSpecRoundTripVariance(t *testing.T) {
 	sp := roundTrip(t, core.NewSpec(core.VarianceTask(),
 		core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar),
@@ -176,19 +212,19 @@ func TestSpecRoundTripVariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := testValues(11, 1600)
-	direct := &core.VarianceEstimator{Params: core.Params{
-		Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar, EMFMaxIter: 80}}
-	want, err := direct.Run(rng.New(12), vals, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := est.(core.Runner).Run(rng.New(12), vals, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Mean != want.Mean || got.Variance != want.Variance || got.SecondMoment != want.SecondMoment {
-		t.Fatalf("spec (%v, %v) != direct (%v, %v)", got.Mean, got.Variance, want.Mean, want.Variance)
-	}
+	checkBits(t, "variance", got.Variance, 0x3f9d2887cc74cd3c)
+	checkBits(t, "second moment", got.SecondMoment, 0x3fb9736a9b406ca4)
+	recorded{
+		mean: 0xbfd10be1cdbee0ea, gamma: 0x3fbcea302ca567bc, right: true,
+		groupMeans: []uint64{0xbfd0271c3cdd3e30, 0xbfced7b596e306cc, 0xbfe31a74dd467e34,
+			0xbfea5213b6d90133, 0xbfe85e79e836a12b, 0xbfe38a325bd2070a},
+		weights: []uint64{0x3fe87f42b5cbabe5, 0x3fc80728c3438bc5, 0x3fa7ef31963712ad,
+			0x3fe87f42b5cbabe4, 0x3fc80728c3438bc6, 0x3fa7ef31963712ae},
+	}.check(t, got)
 }
 
 // TestSpecRoundTripBaseline: same invariant for the §IV protocol.
@@ -199,23 +235,16 @@ func TestSpecRoundTripBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.NewBaseline(0.125, 0.875, core.SchemeEMFStar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct.EMFMaxIter = 80
 	vals := testValues(13, 1500)
-	want, err := direct.Run(rng.New(14), vals, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := est.(core.Runner).Run(rng.New(14), vals, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Mean != want.Mean || got.Gamma != want.Gamma {
-		t.Fatalf("spec (%v, %v) != direct (%v, %v)", got.Mean, got.Gamma, want.Mean, want.Gamma)
-	}
+	recorded{
+		mean: 0xbfd295374eda243d, gamma: 0x3fcbc58b9891deaa, right: true,
+		groupMeans: []uint64{0xbfd295374eda243d},
+		weights:    []uint64{0x3ff0000000000000},
+	}.check(t, got)
 }
 
 // TestSpecDefense: a defense spec selects the comparator by name and
