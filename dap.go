@@ -150,7 +150,6 @@ var (
 	ParseWeightMode = core.ParseWeightMode
 )
 
-// Protocol building blocks.
 var (
 	// PessimisticO computes Theorem 2's pessimistic mean initialization.
 	PessimisticO = core.PessimisticO

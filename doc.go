@@ -49,10 +49,6 @@
 // identically (≤1e-12) through batch Estimate, a stream tenant and the
 // wire API.
 //
-// The pre-spec constructors (NewDAP, NewSWDAP, NewFreqDAP, NewBaseline)
-// remain as deprecated aliases for one release; see DESIGN.md for the
-// migration table.
-//
 // # Attacks
 //
 // The threat side mirrors the defense side: a declarative AttackSpec

@@ -156,12 +156,7 @@ func (b *Baseline) estimateFromCounts(m *emf.Matrix, counts []float64, nBeta, su
 	var diag emfDiag
 	diag.observe(probe.Left, probe.Right)
 	side := probe.Side
-	var poison []int
-	if side == emf.Right {
-		poison = m.PoisonRight(b.sp.OPrime)
-	} else {
-		poison = m.PoisonLeft(b.sp.OPrime)
-	}
+	poison := poisonSet(m, side, b.sp.OPrime)
 	res := probe.Chosen()
 	switch b.scheme {
 	case SchemeEMFStar:
@@ -170,11 +165,7 @@ func (b *Baseline) estimateFromCounts(m *emf.Matrix, counts []float64, nBeta, su
 		cfg.Init = res
 		res, err = emf.RunConstrained(m, counts, poison, res.Gamma(), cfg)
 	case SchemeCEMFStar:
-		factor := b.sp.SuppressFactor
-		if factor <= 0 {
-			factor = 0.5
-		}
-		res, err = emf.RunConcentrated(m, counts, res, res.Gamma(), factor, cfg)
+		res, err = emf.RunConcentrated(m, counts, res, res.Gamma(), b.sp.suppressFactor(), cfg)
 	}
 	if err != nil {
 		return nil, err
@@ -191,10 +182,7 @@ func (b *Baseline) estimateFromCounts(m *emf.Matrix, counts []float64, nBeta, su
 	scale := b.mechBeta.C() / b.mechAlpha.C()
 	poisonMeanBeta := stats.Clamp(poisonMeanAlpha*scale, -b.mechBeta.C(), b.mechBeta.C())
 
-	mHat := gamma * nBeta
-	if mHat > 0.95*nBeta {
-		mHat = 0.95 * nBeta
-	}
+	mHat := poisonMass(gamma, nBeta)
 	mean := (sumBeta - mHat*poisonMeanBeta) / (nBeta - mHat)
 	est := &Result{
 		Task:          TaskBaseline,

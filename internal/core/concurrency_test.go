@@ -66,7 +66,7 @@ func TestEstimateFreqDeterministicUnderConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(first, again) {
-			t.Fatalf("EstimateFreq diverged on repeat %d", rep)
+			t.Fatalf("EstimateHist diverged on repeat %d", rep)
 		}
 	}
 }

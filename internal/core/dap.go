@@ -44,13 +44,50 @@ func (p *protocol) Groups() []Group { return append([]Group(nil), p.groups...) }
 // H returns the number of groups h = ⌈log₂(ε/ε₀)⌉+1.
 func (p *protocol) H() int { return len(p.groups) }
 
-// suppressFactor is CEMF*'s concentration threshold factor; the threshold
-// is factor·γ̂/|P| (the paper uses 0.5, selected when the spec leaves it 0).
-func (p *protocol) suppressFactor() float64 {
-	if p.sp.SuppressFactor > 0 {
-		return p.sp.SuppressFactor
+// fitGroup applies the configured scheme to one group's counts over the
+// given poison set, seeding the solver from warmBase (the plain-EMF base
+// fit) and warmFinal (the scheme's final fit) when available; cfg is the
+// group's unseeded EM controls. It returns the final fit, the base fit it
+// derives from (nil under EMF*, which needs none: its γ comes from the
+// smallest-budget probe) and the group's γ̂.
+func (p *protocol) fitGroup(m *emf.Matrix, counts []float64, poison []int, gammaGlobal float64, cfg emf.Config, warmBase, warmFinal *emf.Result) (res, base *emf.Result, gammaT float64, err error) {
+	seeded := cfg
+	if p.scheme == SchemeEMFStar {
+		seeded.Init = warmFinal
+		res, err = emf.RunConstrained(m, counts, poison, gammaGlobal, seeded)
+		return res, nil, gammaGlobal, err
 	}
-	return 0.5
+	seeded.Init = warmBase
+	if base, err = emf.Run(m, counts, poison, seeded); err != nil {
+		return nil, nil, 0, err
+	}
+	if p.scheme == SchemeCEMFStar {
+		// RunConcentrated seeds its constrained re-run from base (the fit
+		// on the current counts beats any previous estimate's).
+		if res, err = emf.RunConcentrated(m, counts, base, gammaGlobal, p.sp.suppressFactor(), cfg); err != nil {
+			return nil, nil, 0, err
+		}
+		return res, base, res.Gamma(), nil
+	}
+	return base, base, base.Gamma(), nil
+}
+
+// poisonSet returns the output buckets beyond oPrime on the probed side.
+func poisonSet(m *emf.Matrix, side emf.Side, oPrime float64) []int {
+	if side == emf.Right {
+		return m.PoisonRight(oPrime)
+	}
+	return m.PoisonLeft(oPrime)
+}
+
+// poisonMass is m̂_t = γ̂_t·N_t, capped at 95% of the group's N_t reports
+// so the normal-user remainder never vanishes.
+func poisonMass(gamma, n float64) float64 {
+	m := gamma * n
+	if m > 0.95*n {
+		m = 0.95 * n
+	}
+	return m
 }
 
 // cfg builds the EM iteration controls for group t, using the paper's
@@ -258,17 +295,9 @@ func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sum
 	// reads shared immutable inputs and writes only its own index), so they
 	// run concurrently; the estimate is bit-identical to the sequential one.
 	if err := forEachGroup(h, func(t int) error {
-		wBase, wFinal := warm.base(t), warm.final(t)
-		if t == h-1 {
-			// The probe just solved group h−1's deconvolution on the chosen
-			// side; its fit is a near-converged seed, fresher than any
-			// previous estimate's.
-			wBase = probe.Chosen()
-			if wFinal == nil {
-				wFinal = probe.Chosen()
-			}
-		}
-		res, base, gammaT, err := d.groupResult(matrices[t], counts[t], side, gammaGlobal, oPrime, t, wBase, wFinal)
+		wBase, wFinal := warm.seeds(t, h, probe.Chosen())
+		res, base, gammaT, err := d.fitGroup(matrices[t], counts[t], poisonSet(matrices[t], side, oPrime),
+			gammaGlobal, d.cfg(t), wBase, wFinal)
 		if err != nil {
 			return err
 		}
@@ -278,10 +307,7 @@ func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sum
 			diags[t].observe(base)
 		}
 		nt := ns[t]
-		mHat := gammaT * nt
-		if mHat > 0.95*nt {
-			mHat = 0.95 * nt
-		}
+		mHat := poisonMass(gammaT, nt)
 		poisonMean := emf.PoisonMean(matrices[t], res)
 		mt := (sums[t] - mHat*poisonMean) / (nt - mHat)
 		est.GroupMeans[t] = stats.Clamp(mt, -1, 1)
@@ -317,42 +343,6 @@ func (d *DAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma fl
 		return nil, err
 	}
 	return d.Estimate(context.Background(), col)
-}
-
-// groupResult applies the configured scheme to one group, seeding the
-// solver from warmBase (the plain-EMF base fit) and warmFinal (the
-// scheme's final fit) when available. It returns the final fit, the base
-// fit it derives from (nil under EMF*, which needs none: its γ comes from
-// the smallest-budget probe, so the unconstrained base run the seed
-// version always performed was pure waste) and the group's γ̂.
-func (d *DAP) groupResult(m *emf.Matrix, counts []float64, side emf.Side, gammaGlobal, oPrime float64, t int, warmBase, warmFinal *emf.Result) (res, base *emf.Result, gammaT float64, err error) {
-	var poison []int
-	if side == emf.Right {
-		poison = m.PoisonRight(oPrime)
-	} else {
-		poison = m.PoisonLeft(oPrime)
-	}
-	cfg := d.cfg(t)
-	if d.scheme == SchemeEMFStar {
-		cfg.Init = warmFinal
-		res, err = emf.RunConstrained(m, counts, poison, gammaGlobal, cfg)
-		return res, nil, gammaGlobal, err
-	}
-	cfg.Init = warmBase
-	base, err = emf.Run(m, counts, poison, cfg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if d.scheme == SchemeCEMFStar {
-		// RunConcentrated seeds its constrained re-run from base (the fit
-		// on the current counts beats any previous estimate's).
-		res, err = emf.RunConcentrated(m, counts, base, gammaGlobal, d.suppressFactor(), d.cfg(t))
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return res, base, res.Gamma(), nil
-	}
-	return base, base, base.Gamma(), nil
 }
 
 // CollectPM gathers a plain single-group PM collection at budget eps with

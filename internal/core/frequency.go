@@ -194,44 +194,11 @@ func (d *FreqDAP) estimateFromCounts(counts [][]float64, warm *WarmState) (*Resu
 	diags := make([]emfDiag, h)
 	// The per-group EM fits are independent; run them concurrently (each
 	// writes only its own index, so the output is order-independent).
-	if err := forEachGroup(h, func(t int) (err error) {
-		m := matrices[t]
-		cfg := d.cfg(t)
-		wBase, wFinal := warm.base(t), warm.final(t)
-		if t == h-1 {
-			// The category probe just fitted this group with the chosen
-			// poison set — the freshest possible seed.
-			wBase = probeRes
-			if wFinal == nil {
-				wFinal = probeRes
-			}
-		}
-		var res, base *emf.Result
-		var gammaT float64
-		switch d.scheme {
-		case SchemeEMFStar:
-			// The unconstrained base fit is unused under EMF*; skip it.
-			cfg.Init = wFinal
-			if res, err = emf.RunConstrained(m, counts[t], probeSet, gammaGlobal, cfg); err != nil {
-				return err
-			}
-			gammaT = gammaGlobal
-		case SchemeCEMFStar:
-			cfg.Init = wBase
-			if base, err = emf.Run(m, counts[t], probeSet, cfg); err != nil {
-				return err
-			}
-			if res, err = emf.RunConcentrated(m, counts[t], base, gammaGlobal, d.suppressFactor(), d.cfg(t)); err != nil {
-				return err
-			}
-			gammaT = res.Gamma()
-		default:
-			cfg.Init = wBase
-			if base, err = emf.Run(m, counts[t], probeSet, cfg); err != nil {
-				return err
-			}
-			res = base
-			gammaT = base.Gamma()
+	if err := forEachGroup(h, func(t int) error {
+		wBase, wFinal := warm.seeds(t, h, probeRes)
+		res, base, gammaT, err := d.fitGroup(matrices[t], counts[t], probeSet, gammaGlobal, d.cfg(t), wBase, wFinal)
+		if err != nil {
+			return err
 		}
 		bases[t], finals[t] = base, res
 		diags[t].observe(res)
@@ -240,10 +207,7 @@ func (d *FreqDAP) estimateFromCounts(counts [][]float64, warm *WarmState) (*Resu
 		}
 		est.GroupFreqs[t] = stats.Normalize(res.X)
 		nt := stats.Sum(counts[t])
-		mHat := gammaT * nt
-		if mHat > 0.95*nt {
-			mHat = 0.95 * nt
-		}
+		mHat := poisonMass(gammaT, nt)
 		nHat[t] = (nt - mHat) * d.groups[t].Eps / d.sp.Eps
 		b[t] = nHat[t] * d.mechs[t].WorstCaseVar()
 		return nil

@@ -442,6 +442,15 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
+// suppressFactor is CEMF*'s concentration threshold factor; the threshold
+// is factor·γ̂/|P| (the paper uses 0.5, selected when the spec leaves it 0).
+func (sp Spec) suppressFactor() float64 {
+	if sp.SuppressFactor > 0 {
+		return sp.SuppressFactor
+	}
+	return 0.5
+}
+
 // unitDomain returns the protocol's native input domain for the task.
 func (sp Spec) unitDomain() (lo, hi float64) {
 	if sp.Task == TaskDistribution {

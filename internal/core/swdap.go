@@ -161,46 +161,10 @@ func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, n
 	var xAgg []float64
 	for t := 0; t < h; t++ {
 		m := matrices[t]
-		var poison []int
-		if side == emf.Right {
-			poison = m.PoisonRight(oPrime)
-		} else {
-			poison = m.PoisonLeft(oPrime)
-		}
-		cfg := d.cfg(t)
-		wBase, wFinal := warm.base(t), warm.final(t)
-		if t == h-1 {
-			wBase = probe.Chosen()
-			if wFinal == nil {
-				wFinal = probe.Chosen()
-			}
-		}
-		var res, base *emf.Result
-		var gammaT float64
-		switch d.scheme {
-		case SchemeEMFStar:
-			// The unconstrained base fit is unused under EMF*; skip it.
-			cfg.Init = wFinal
-			if res, err = emf.RunConstrained(m, counts[t], poison, gammaGlobal, cfg); err != nil {
-				return nil, err
-			}
-			gammaT = gammaGlobal
-		case SchemeCEMFStar:
-			cfg.Init = wBase
-			if base, err = emf.Run(m, counts[t], poison, cfg); err != nil {
-				return nil, err
-			}
-			if res, err = emf.RunConcentrated(m, counts[t], base, gammaGlobal, d.suppressFactor(), d.cfg(t)); err != nil {
-				return nil, err
-			}
-			gammaT = res.Gamma()
-		default:
-			cfg.Init = wBase
-			if base, err = emf.Run(m, counts[t], poison, cfg); err != nil {
-				return nil, err
-			}
-			res = base
-			gammaT = base.Gamma()
+		wBase, wFinal := warm.seeds(t, h, probe.Chosen())
+		res, base, gammaT, err := d.fitGroup(m, counts[t], poisonSet(m, side, oPrime), gammaGlobal, d.cfg(t), wBase, wFinal)
+		if err != nil {
+			return nil, err
 		}
 		bases[t], finals[t] = base, res
 		diag.observe(res)
@@ -212,10 +176,7 @@ func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, n
 		est.GroupMeans[t] = stats.Clamp(mean, 0, 1)
 		est.GroupGammas[t] = gammaT
 		nt := ns[t]
-		mHat := gammaT * nt
-		if mHat > 0.95*nt {
-			mHat = 0.95 * nt
-		}
+		mHat := poisonMass(gammaT, nt)
 		est.NHat[t] = (nt - mHat) * d.groups[t].Eps / d.sp.Eps
 		b[t] = est.NHat[t] * d.mechs[t].WorstCaseVar()
 		// Aggregate the distribution estimate from the largest-budget group
@@ -331,13 +292,7 @@ func (s *SWSingle) Reconstruct(reports []float64) (xhat, centers []float64, err 
 	if err != nil {
 		return nil, nil, err
 	}
-	side := probe.Side
-	var poison []int
-	if side == emf.Right {
-		poison = m.PoisonRight(0.5)
-	} else {
-		poison = m.PoisonLeft(0.5)
-	}
+	poison := poisonSet(m, probe.Side, 0.5)
 	res := probe.Chosen()
 	switch s.Scheme {
 	case SchemeEMFStar:

@@ -42,6 +42,20 @@ func (w *WarmState) base(t int) *emf.Result {
 	return w.final(t)
 }
 
+// seeds returns group t's base and final seeds. The smallest-budget group
+// h−1 is seeded from probe, the fit the side or category probe just
+// solved on the chosen poison set — fresher than any previous estimate's.
+func (w *WarmState) seeds(t, h int, probe *emf.Result) (base, final *emf.Result) {
+	base, final = w.base(t), w.final(t)
+	if t == h-1 {
+		base = probe
+		if final == nil {
+			final = probe
+		}
+	}
+	return base, final
+}
+
 // final returns the group-t final-fit seed, nil-safe.
 func (w *WarmState) final(t int) *emf.Result {
 	if w == nil || t >= len(w.finals) {
