@@ -200,9 +200,5 @@ func (b *Baseline) estimateFromCounts(m *emf.Matrix, counts []float64, nBeta, su
 
 // Run is Collect followed by Estimate.
 func (b *Baseline) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	col, err := b.Collect(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return b.Estimate(context.Background(), col)
+	return collectAndEstimate(b, r, values, adv, gamma)
 }

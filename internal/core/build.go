@@ -114,6 +114,19 @@ type Runner interface {
 	Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error)
 }
 
+// collectAndEstimate is the Runner behind every numeric task: Collect,
+// then Estimate.
+func collectAndEstimate(e interface {
+	Collector
+	Estimator
+}, r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
+	col, err := e.Collect(r, values, adv, gamma)
+	if err != nil {
+		return nil, err
+	}
+	return e.Estimate(context.Background(), col)
+}
+
 // CatRunner is the categorical simulation entry point.
 type CatRunner interface {
 	RunCats(r *rand.Rand, cats []int, poisonCats []int, gamma float64) (*Result, error)
@@ -167,7 +180,7 @@ func Build(sp Spec) (Estimator, error) {
 	return est, nil
 }
 
-// ctxErr reports a done context. Adapters check it once at entry; the
+// ctxErr reports a done context. Estimators check it once at entry; the
 // per-group EM fits below are too short-lived to interrupt mid-flight.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
@@ -183,32 +196,26 @@ func ctxErr(ctx context.Context) error {
 // users' values under the same threat model. The user population is
 // split in half; one half runs the mean pipeline on v, the other on the
 // transformed value 2v²−1 ∈ [−1,1] (so E[2v²−1] = 2E[v²]−1), each half
-// under its own full-budget DAP, and Var = E[v²] − E[v]². Every user
-// still reports exactly one statistic and spends exactly ε.
+// under its own full-budget run of the same DAP, and Var = E[v²] − E[v]².
+// Every user still reports exactly one statistic and spends exactly ε.
 type varianceEstimator struct {
-	sp     Spec
-	mean   *DAP // first h groups: E[v]
-	moment *DAP // last h groups: E[2v²−1]
+	d *DAP // runs the first h groups on E[v], the last h on E[2v²−1]
 }
 
 func newVarianceEstimator(sp Spec) (*varianceEstimator, error) {
-	mean, err := newDAP(sp)
+	d, err := newDAP(sp)
 	if err != nil {
 		return nil, err
 	}
-	moment, err := newDAP(sp)
-	if err != nil {
-		return nil, err
-	}
-	return &varianceEstimator{sp: sp, mean: mean, moment: moment}, nil
+	return &varianceEstimator{d: d}, nil
 }
 
-func (e *varianceEstimator) Spec() Spec { return e.sp }
+func (e *varianceEstimator) Spec() Spec { return e.d.sp }
 
 // Groups returns the 2h-group layout: the mean half followed by the
 // moment half.
 func (e *varianceEstimator) Groups() []Group {
-	return append(e.mean.Groups(), e.moment.Groups()...)
+	return append(e.d.Groups(), e.d.Groups()...)
 }
 
 // Collect splits the users into random disjoint halves (each contributes
@@ -230,11 +237,11 @@ func (e *varianceEstimator) Collect(r *rand.Rand, values []float64, adv attack.A
 			momentVals = append(momentVals, 2*v*v-1)
 		}
 	}
-	c1, err := e.mean.Collect(r, meanVals, adv, gamma)
+	c1, err := e.d.Collect(r, meanVals, adv, gamma)
 	if err != nil {
 		return nil, err
 	}
-	c2, err := e.moment.Collect(r, momentVals, adv, gamma)
+	c2, err := e.d.Collect(r, momentVals, adv, gamma)
 	if err != nil {
 		return nil, err
 	}
@@ -248,15 +255,15 @@ func (e *varianceEstimator) Estimate(ctx context.Context, col *Collection) (*Res
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	h := e.mean.H()
+	h := e.d.H()
 	if col == nil || len(col.Groups) != 2*h {
 		return nil, badCollection("variance estimation expects %d groups (mean half then moment half)", 2*h)
 	}
-	m1, err := e.mean.Estimate(withSubWarm(ctx, 0), &Collection{Groups: col.Groups[:h]})
+	m1, err := e.d.Estimate(withSubWarm(ctx, 0), &Collection{Groups: col.Groups[:h]})
 	if err != nil {
 		return nil, err
 	}
-	m2, err := e.moment.Estimate(withSubWarm(ctx, 1), &Collection{Groups: col.Groups[h:]})
+	m2, err := e.d.Estimate(withSubWarm(ctx, 1), &Collection{Groups: col.Groups[h:]})
 	if err != nil {
 		return nil, err
 	}
@@ -267,15 +274,15 @@ func (e *varianceEstimator) EstimateHist(ctx context.Context, hc *HistCollection
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	h := e.mean.H()
+	h := e.d.H()
 	if hc == nil || len(hc.Counts) != 2*h || hc.Sums == nil || len(hc.Sums) != 2*h {
 		return nil, badCollection("variance estimation expects %d group histograms with sums", 2*h)
 	}
-	m1, err := e.mean.EstimateHist(withSubWarm(ctx, 0), &HistCollection{Counts: hc.Counts[:h], Sums: hc.Sums[:h]})
+	m1, err := e.d.EstimateHist(withSubWarm(ctx, 0), &HistCollection{Counts: hc.Counts[:h], Sums: hc.Sums[:h]})
 	if err != nil {
 		return nil, err
 	}
-	m2, err := e.moment.EstimateHist(withSubWarm(ctx, 1), &HistCollection{Counts: hc.Counts[h:], Sums: hc.Sums[h:]})
+	m2, err := e.d.EstimateHist(withSubWarm(ctx, 1), &HistCollection{Counts: hc.Counts[h:], Sums: hc.Sums[h:]})
 	if err != nil {
 		return nil, err
 	}
@@ -283,11 +290,7 @@ func (e *varianceEstimator) EstimateHist(ctx context.Context, hc *HistCollection
 }
 
 func (e *varianceEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	col, err := e.Collect(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return e.Estimate(context.Background(), col)
+	return collectAndEstimate(e, r, values, adv, gamma)
 }
 
 // varianceResult combines the two half estimates: Var = E[v²] − E[v]²
@@ -388,11 +391,7 @@ func (e *defenseEstimator) EstimateHist(context.Context, *HistCollection) (*Resu
 }
 
 func (e *defenseEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	reports, err := CollectPM(r, values, e.sp.Eps, adv, gamma, e.sp.OPrime)
-	if err != nil {
-		return nil, err
-	}
-	return e.Estimate(context.Background(), &Collection{Groups: [][]float64{reports}})
+	return collectAndEstimate(e, r, values, adv, gamma)
 }
 
 func (e *defenseEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {

@@ -338,11 +338,7 @@ func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sum
 
 // Run is Collect followed by Estimate.
 func (d *DAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	col, err := d.Collect(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return d.Estimate(context.Background(), col)
+	return collectAndEstimate(d, r, values, adv, gamma)
 }
 
 // CollectPM gathers a plain single-group PM collection at budget eps with

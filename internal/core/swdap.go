@@ -206,11 +206,7 @@ func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, n
 
 // Run is Collect followed by Estimate.
 func (d *SWDAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	col, err := d.Collect(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return d.Estimate(context.Background(), col)
+	return collectAndEstimate(d, r, values, adv, gamma)
 }
 
 // pessimisticO estimates O′ for SW by removing the top TrimFrac of the
