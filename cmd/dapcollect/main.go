@@ -215,8 +215,13 @@ func main() {
 		}
 		pc := transport.NewClient(*coordURL, nil)
 		pc.SetRetry(5, 2*time.Second)
-		pusher = newDeltaPusher(pc, *nodeID)
-		srv.Registry().SetSealHook(pusher.hook)
+		reg := srv.Registry()
+		pusher = newDeltaPusher(pc.PushDelta, func(tenant string) {
+			if t, ok := reg.Get(tenant); ok {
+				t.ResendLedger()
+			}
+		}, *nodeID)
+		reg.SetSealHook(pusher.hook)
 		fmt.Printf("dapcollect: node %q pushing sealed deltas to %s\n", *nodeID, *coordURL)
 	}
 	udpListen := *udpAddr
@@ -305,16 +310,24 @@ func splitNodes(s string) []string {
 // only stamps the node id and enqueues. A full queue drops the delta —
 // the coordinator's straggler timeout tolerates a missing node, and
 // wedging rotations on a dead coordinator would be worse.
+//
+// A delta carries the spends of the users charged since the previous
+// seal only, so whenever one does not merge — dropped here, not
+// encodable, not delivered, or answered anything but "merged" — the
+// pusher asks the tenant (resend) to ship its whole ledger with the next
+// seal, and the coordinator's ledger heals one epoch later.
 type deltaPusher struct {
-	client *transport.Client
+	push   func(context.Context, []byte) (*transport.MergeResponse, error)
+	resend func(tenant string)
 	node   string
 	ch     chan *stream.EpochDelta
 	done   chan struct{}
 }
 
-func newDeltaPusher(c *transport.Client, node string) *deltaPusher {
+func newDeltaPusher(push func(context.Context, []byte) (*transport.MergeResponse, error),
+	resend func(tenant string), node string) *deltaPusher {
 	p := &deltaPusher{
-		client: c, node: node,
+		push: push, resend: resend, node: node,
 		ch:   make(chan *stream.EpochDelta, 128),
 		done: make(chan struct{}),
 	}
@@ -329,6 +342,7 @@ func (p *deltaPusher) hook(d *stream.EpochDelta) {
 	default:
 		slog.Warn("delta push queue full; dropping sealed delta",
 			"tenant", d.Tenant, "epoch", d.Epoch)
+		p.resend(d.Tenant)
 	}
 }
 
@@ -338,13 +352,21 @@ func (p *deltaPusher) run() {
 		frame, err := wirebin.EncodeDelta(d)
 		if err != nil {
 			slog.Error("delta encode failed", "tenant", d.Tenant, "epoch", d.Epoch, "err", err)
+			p.resend(d.Tenant)
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		res, err := p.client.PushDelta(ctx, frame)
+		res, err := p.push(ctx, frame)
 		cancel()
 		if err != nil {
 			slog.Error("delta push failed", "tenant", d.Tenant, "epoch", d.Epoch, "err", err)
+			p.resend(d.Tenant)
+			continue
+		}
+		if res.Status != "merged" {
+			slog.Warn("delta not merged; resending the ledger next epoch",
+				"tenant", d.Tenant, "epoch", d.Epoch, "status", res.Status)
+			p.resend(d.Tenant)
 			continue
 		}
 		slog.Debug("delta pushed", "tenant", d.Tenant, "epoch", d.Epoch,

@@ -128,15 +128,30 @@ func runDistributed(c distRun) int {
 		}
 		defer closeFn()
 		id := ids[i]
-		srv.Registry().SetSealHook(func(d *stream.EpochDelta) {
+		reg := srv.Registry()
+		reg.SetSealHook(func(d *stream.EpochDelta) {
 			d.Node = id
+			// A delta that does not merge takes its users' spends with it;
+			// the tenant then ships its whole ledger with the next seal.
+			resend := func() {
+				if t, ok := reg.Get(d.Tenant); ok {
+					t.ResendLedger()
+				}
+			}
 			frame, err := wirebin.EncodeDelta(d)
 			if err != nil {
 				log.Print("daploadgen: encode delta: ", err)
+				resend()
 				return
 			}
-			if _, err := coordClient.PushDelta(context.Background(), frame); err != nil {
+			res, err := coordClient.PushDelta(context.Background(), frame)
+			if err != nil {
 				log.Print("daploadgen: push delta: ", err)
+				resend()
+				return
+			}
+			if res.Status != "merged" {
+				resend()
 			}
 		})
 		cluster[i] = nodeSrv{srv: srv, client: transport.NewClient(base, nil)}

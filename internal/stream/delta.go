@@ -6,11 +6,13 @@ import (
 
 // EpochDelta is one sealed epoch exported for the merge plane: the
 // tenant's per-group bucket counts and report totals, the per-stripe
-// value sums, and the node's cumulative per-user budget ledger at seal
-// time. It is the decoded form of a wirebin delta frame — a node's seal
-// hook fills Node and ships wirebin.EncodeDelta(d); the coordinator
-// merges decoded deltas from many nodes into the same epochHist shape a
-// single-node seal would have produced.
+// value sums, and the current cumulative budget spend of the users the
+// node charged since its previous seal (the whole ledger after a hook
+// install or ResendLedger). It is the decoded form of a wirebin delta
+// frame — a node's seal hook fills Node and ships
+// wirebin.EncodeDelta(d); the coordinator merges decoded deltas from
+// many nodes into the same epochHist shape a single-node seal would have
+// produced, and max-merges the spends into the same ledger.
 //
 // Sums travel per stripe rather than per group because group sums are
 // floating-point accumulations: the coordinator re-folds stripes in
@@ -35,9 +37,19 @@ func StripeOf(user string, shards int) int {
 // hook delays that rotation's estimate but never blocks ingest. Pass
 // nil to clear. The delta's Node field is left empty for the hook to
 // fill; its Counts/Ns alias the sealed epoch's immutable histograms.
+//
+// While a hook is installed the tenant records which users each epoch
+// charges, and a delta's Spend holds only those users (sorted, with
+// their cumulative spend). The first seal after fn is installed ships
+// the whole ledger instead: charges made before the install — including
+// everything a recovery replayed — were not recorded. Call
+// ResendLedger when a delta fails to merge.
 func (t *Tenant) SetSealHook(fn func(*EpochDelta)) {
 	t.mu.Lock()
 	t.onSeal = fn
+	if fn != nil {
+		t.fullLedger.Store(true)
+	}
 	t.mu.Unlock()
 }
 

@@ -73,7 +73,9 @@ func (r *Registry) Create(name string, cfg Config) (*Tenant, error) {
 		t.acctFrom = lsn + 1
 	}
 	if r.sealHook != nil {
-		t.onSeal = r.sealHook // t not yet published; no lock needed
+		// t is not yet published, so no lock is needed; its ledger is
+		// empty, so the charged-user tracking covers it from the start.
+		t.onSeal = r.sealHook
 	}
 	// Start the clock while still holding the lock: a concurrent Delete
 	// can only observe the tenant after it is published, so its Stop

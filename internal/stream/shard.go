@@ -6,12 +6,20 @@ import "sync"
 // the discretized output domain plus the exact running report sum (the
 // sufficient statistic the estimator needs). The struct is padded so
 // adjacent stripes do not share a cache line under write contention.
+//
+// touched lists the users this stripe charged in the live epoch, one
+// entry per accepted request (duplicates included). Only node tenants
+// (a seal hook installed) record it: the seal turns it into the delta's
+// spend entries, so a delta carries the users charged this epoch rather
+// than the whole ledger. Its entries die with the live epoch; the seal
+// hands the emptied storage to the next one.
 type shard struct {
-	mu     sync.Mutex
-	counts []float64
-	sum    float64
-	n      float64
-	_      [64]byte
+	mu      sync.Mutex
+	counts  []float64
+	sum     float64
+	n       float64
+	touched []string
+	_       [64]byte
 }
 
 // shardSet is the live histogram of one (tenant, group): Shards stripes

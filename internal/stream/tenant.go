@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,8 +116,14 @@ type Tenant struct {
 	seq    uint64
 	// onSeal, when set (guarded by mu), receives each live seal's
 	// EpochDelta — the merge-plane export. Fired by rotate after the
-	// seal, outside all locks; never fired by recovery replays.
+	// seal, outside all locks; never fired by recovery replays. While it
+	// is set, ingest records each charged user on its live stripe
+	// (shard.touched) and the seal ships only those users' spends.
 	onSeal func(*EpochDelta)
+	// fullLedger makes the next seal ship the whole ledger instead of the
+	// users charged since the previous seal (see SetSealHook and
+	// ResendLedger).
+	fullLedger atomic.Bool
 
 	// rotateMu serializes rotations end to end (WAL append + seal +
 	// estimate), so TryRotate can report an in-flight rotation.
@@ -403,6 +410,9 @@ func (t *Tenant) ingest(user string, group int, values []float64) error {
 		}
 	}
 	sh.addLocked(idx, values)
+	if t.onSeal != nil {
+		sh.touched = append(sh.touched, user)
+	}
 	sh.mu.Unlock()
 	t.mu.RUnlock()
 	return nil
@@ -539,9 +549,14 @@ func (t *Tenant) ingestBatch(entries []BatchEntry) []error {
 			return errs
 		}
 	}
+	track := t.onSeal != nil
 	for _, sg := range staged {
 		e := &entries[sg.i]
-		t.live[e.Group].stripe(sg.stripe).addLocked(sg.idx, e.Values)
+		sh := t.live[e.Group].stripe(sg.stripe)
+		sh.addLocked(sg.idx, e.Values)
+		if track {
+			sh.touched = append(sh.touched, e.User)
+		}
 	}
 	return errs
 }
@@ -634,10 +649,9 @@ func (t *Tenant) TryRotate() (*Snapshot, error) {
 // epoch counter. Caller holds t.mu exclusively. When a seal hook is
 // registered the sealed epoch's merge-plane delta is built and returned
 // (nil otherwise): per-stripe sums are captured before the stripe fold
-// so the coordinator can reproduce that fold bit-for-bit, and the
-// cumulative budget ledger is exported here — under the exclusive lock
-// no ingest can interleave, so ledger and histograms are one consistent
-// cut.
+// so the coordinator can reproduce that fold bit-for-bit, and the spends
+// are read here — under the exclusive lock no ingest can interleave, so
+// ledger and histograms are one consistent cut.
 func (t *Tenant) sealLocked() *EpochDelta {
 	var delta *EpochDelta
 	if t.onSeal != nil {
@@ -649,6 +663,7 @@ func (t *Tenant) sealLocked() *EpochDelta {
 			}
 			delta.StripeSums[i] = ss
 		}
+		delta.Spend = t.sealSpendLocked()
 	}
 	eh := epochHist{
 		counts: make([][]float64, len(t.groups)),
@@ -659,7 +674,15 @@ func (t *Tenant) sealLocked() *EpochDelta {
 		eh.counts[i] = make([]float64, t.bkt[i])
 		eh.sums[i], eh.ns[i] = s.mergeLocked(eh.counts[i])
 	}
+	prev := t.live
 	t.live = t.freshLive()
+	for i, s := range prev {
+		// The touched lists were copied into the delta: hand their
+		// storage to the next epoch instead of regrowing it.
+		for j := range s.shards {
+			t.live[i].shards[j].touched = s.shards[j].touched[:0]
+		}
+	}
 	t.sealed = append(t.sealed, eh)
 	if over := len(t.sealed) - t.cfg.Window.Span; over > 0 {
 		t.sealed = append([]epochHist(nil), t.sealed[over:]...)
@@ -670,14 +693,59 @@ func (t *Tenant) sealLocked() *EpochDelta {
 		// Sealed epochs are immutable: aliasing their histograms into the
 		// delta is safe and keeps the seal allocation-light.
 		delta.Counts, delta.Ns = eh.counts, eh.ns
-		spend := t.acct.Export()
-		delta.Spend = make([]wirebin.SpendEntry, 0, len(spend))
-		for u, eps := range spend {
-			delta.Spend = append(delta.Spend, wirebin.SpendEntry{User: u, Eps: eps})
-		}
 	}
 	return delta
 }
+
+// sealSpendLocked returns the delta's spend entries, sorted by user: the
+// current cumulative spend of every user the live stripes charged since
+// the previous seal, or of every user in the ledger when a full ledger
+// is due (a hook was just installed or ResendLedger was called). The
+// coordinator's per-user max-merge rebuilds the same ledger from either.
+// Caller holds t.mu exclusively, before the live epoch is replaced.
+func (t *Tenant) sealSpendLocked() []wirebin.SpendEntry {
+	if t.fullLedger.Swap(false) {
+		ledger := t.acct.Export()
+		spend := make([]wirebin.SpendEntry, 0, len(ledger))
+		for u, eps := range ledger {
+			spend = append(spend, wirebin.SpendEntry{User: u, Eps: eps})
+		}
+		slices.SortFunc(spend, func(a, b wirebin.SpendEntry) int { return strings.Compare(a.User, b.User) })
+		return spend
+	}
+	n := 0
+	for _, s := range t.live {
+		for j := range s.shards {
+			n += len(s.shards[j].touched)
+		}
+	}
+	users := make([]string, 0, n)
+	for _, s := range t.live {
+		for j := range s.shards {
+			users = append(users, s.shards[j].touched...)
+		}
+	}
+	slices.Sort(users)
+	users = slices.Compact(users)
+	spend := make([]wirebin.SpendEntry, 0, len(users))
+	for _, u := range users {
+		// Users are recorded only once their charge is durable, so a
+		// refunded charge is never listed; the guard still keeps a zero
+		// spend, which the max-merge ignores, off the wire.
+		if eps := t.acct.Spent(u); eps > 0 {
+			spend = append(spend, wirebin.SpendEntry{User: u, Eps: eps})
+		}
+	}
+	return spend
+}
+
+// ResendLedger makes the tenant's next seal ship its whole cumulative
+// budget ledger instead of the users charged since the previous seal. A
+// node calls it when a delta did not merge — dropped before sending,
+// failed to encode or push, or answered late — so the users that delta
+// carried reach the coordinator with the next one. Safe to call from
+// any goroutine, including a seal hook.
+func (t *Tenant) ResendLedger() { t.fullLedger.Store(true) }
 
 // replaySeal re-applies a logged rotation during recovery: seal only, no
 // estimation (the recovered window is estimated once at the end).

@@ -3,15 +3,17 @@ package wirebin
 import (
 	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Delta frames — the merge wire.
 //
 // A delta frame carries one node's sealed epoch for one tenant to the
 // coordinator: the per-group bucket counts and report totals, the
-// per-stripe value sums, and the node's cumulative per-user budget
-// ledger. Deltas reuse the ingest frame's engineering (little-endian
+// per-stripe value sums, and per-user cumulative budget spends (the
+// users the node charged since its previous delta, or its whole ledger).
+// Deltas reuse the ingest frame's engineering (little-endian
 // fixed header, uvarint packing, CRC-32C trailer) under a distinct
 // magic ("DAPD" vs "DAPF") so the two decoders never confuse each
 // other's bytes and the v1 ingest decoder — which rejects any nonzero
@@ -56,8 +58,8 @@ const DeltaContentType = "application/x-dap-delta"
 
 // Delta frame limits. Deltas are coordinator-to-node traffic on the
 // lossless HTTP wire only, so the size cap is generous compared to
-// ingest frames: the spend ledger grows with the node's user
-// population.
+// ingest frames: the spend list grows with the users a node charges in
+// one epoch (about 620k at 17-byte ids fit in MaxDeltaBytes).
 const (
 	// MaxDeltaBytes caps a whole encoded delta frame.
 	MaxDeltaBytes = 16 << 20
@@ -91,8 +93,11 @@ type SpendEntry struct {
 // Ns mirror the engine's per-group histograms; StripeSums[g][s] is the
 // value sum accumulated by stripe s of group g, kept separate so the
 // coordinator can re-fold stripes in index order and reproduce the
-// single-node sum bit-for-bit. Spend is the node's cumulative per-user
-// ledger at seal time, sorted by user.
+// single-node sum bit-for-bit. Spend holds per-user cumulative budget
+// spends, sorted by user: a node's seal lists the users it charged since
+// its previous seal, or its whole ledger after a hook install or a
+// resend. The coordinator max-merges spends per user, so either form
+// rebuilds the same ledger.
 type Delta struct {
 	Node   string
 	Tenant string
@@ -113,8 +118,9 @@ func packableScalar(v float64) bool {
 
 // EncodeDelta serializes d into a fresh CRC-sealed delta frame.
 // Encoding is total for any finite or non-finite float64 content and
-// deterministic: Spend is sorted (a copy — d is not mutated) and every
-// integer takes its canonical uvarint form.
+// deterministic: Spend is written sorted by user (an unsorted Spend is
+// sorted in a copy — d is not mutated; a seal's is already sorted) and
+// every integer takes its canonical uvarint form.
 func EncodeDelta(d *Delta) ([]byte, error) {
 	if len(d.Node) == 0 || len(d.Node) > MaxNodeLen || len(d.Tenant) > MaxTenantLen {
 		return nil, ErrCorrupt
@@ -172,9 +178,11 @@ func EncodeDelta(d *Delta) ([]byte, error) {
 			b = appendUint64(b, math.Float64bits(s))
 		}
 	}
-	spend := make([]SpendEntry, len(d.Spend))
-	copy(spend, d.Spend)
-	sort.Slice(spend, func(i, j int) bool { return spend[i].User < spend[j].User })
+	spend := d.Spend
+	if !spendSorted(spend) {
+		spend = slices.Clone(spend)
+		slices.SortFunc(spend, func(a, b SpendEntry) int { return strings.Compare(a.User, b.User) })
+	}
 	b = appendUvarint(b, uint64(len(spend)))
 	prev := ""
 	for i, e := range spend {
@@ -194,6 +202,16 @@ func EncodeDelta(d *Delta) ([]byte, error) {
 	}
 	b = appendUint32(b, crc32.Checksum(b, crcTable))
 	return b, nil
+}
+
+// spendSorted reports whether spend is strictly increasing by user.
+func spendSorted(spend []SpendEntry) bool {
+	for i := 1; i < len(spend); i++ {
+		if spend[i-1].User >= spend[i].User {
+			return false
+		}
+	}
+	return true
 }
 
 // VerifyDelta checks framing and the CRC without decoding the body —
