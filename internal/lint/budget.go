@@ -10,12 +10,12 @@ import (
 // internal/stream's ingest paths:
 //
 //   - Histogram mutation (shard.addLocked, shardSet.add) must be
-//     lexically dominated by an Accountant charge (Spend, SpendN or
-//     ForceSpend) in the same function — state never moves before the
-//     privacy budget pays for it.
-//   - After a Spend/SpendN, a failed store append must refund: an error
-//     return inside the append's error branch that skips Accountant.Refund
-//     leaks budget the tenant never got durability for.
+//     lexically dominated by an Accountant charge (Spend, SpendN,
+//     BindSpendN or ForceBindSpendN) in the same function — state never
+//     moves before the privacy budget pays for it.
+//   - After a Spend/SpendN/BindSpendN, a failed store append must refund:
+//     an error return inside the append's error branch that skips
+//     Accountant.Refund leaks budget the tenant never got durability for.
 //
 // The shard/shardSet methods themselves are the mutation primitives and
 // are exempt; the rule binds their callers.
@@ -98,11 +98,11 @@ func checkBudgetFn(p *Package, r *Reporter, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		if isAcct(call, "Spend", "SpendN", "ForceSpend") {
+		if isAcct(call, "Spend", "SpendN", "BindSpendN", "ForceBindSpendN") {
 			if !firstCharge.IsValid() {
 				firstCharge = call.Pos()
 			}
-			if isAcct(call, "Spend", "SpendN") {
+			if isAcct(call, "Spend", "SpendN", "BindSpendN") {
 				hasSpend = true
 			}
 		}

@@ -8,8 +8,11 @@ import "errors"
 type Accountant struct{}
 
 func (a *Accountant) SpendN(user string, eps float64, n int) error { return nil }
-func (a *Accountant) ForceSpend(user string, eps float64, n int)   {}
-func (a *Accountant) Refund(user string, eps float64, n int)       {}
+func (a *Accountant) BindSpendN(user string, group int, eps float64, n int) error {
+	return nil
+}
+func (a *Accountant) ForceBindSpendN(user string, group int, eps float64, n int) {}
+func (a *Accountant) Refund(user string, eps float64, n int)                     {}
 
 type shard struct{ n float64 }
 
@@ -66,9 +69,41 @@ func chargeThenRefund(a *Accountant, st *Store, sh *shard) error {
 	return nil
 }
 
-// replayForced is the recovery path: ForceSpend dominates the mutation
-// and there is no store append to refund.
+// mutateBeforeBind touches the histogram before the bind+charge call.
+func mutateBeforeBind(a *Accountant, sh *shard) error {
+	sh.addLocked(nil, nil) // want budget "without a preceding Accountant charge"
+	return a.BindSpendN("u", 0, 1, 1)
+}
+
+// bindChargeNoRefund: BindSpendN is a charge, so its failed append must
+// refund too.
+func bindChargeNoRefund(a *Accountant, st *Store, sh *shard) error { // want budget "never refunds"
+	if err := a.BindSpendN("u", 0, 1, 1); err != nil {
+		return err
+	}
+	if _, err := st.AppendIngest("t", "u"); err != nil { // want budget "without refunding"
+		return errDown
+	}
+	sh.addLocked(nil, nil)
+	return nil
+}
+
+// bindChargeThenRefund is the contract in its bind+charge form.
+func bindChargeThenRefund(a *Accountant, st *Store, sh *shard) error {
+	if err := a.BindSpendN("u", 0, 1, 1); err != nil {
+		return err
+	}
+	if _, err := st.AppendIngest("t", "u"); err != nil {
+		a.Refund("u", 1, 1)
+		return errDown
+	}
+	sh.addLocked(nil, nil)
+	return nil
+}
+
+// replayForced is the recovery path: ForceBindSpendN dominates the
+// mutation and there is no store append to refund.
 func replayForced(a *Accountant, sh *shard) {
-	a.ForceSpend("u", 1, 1)
+	a.ForceBindSpendN("u", 0, 1, 1)
 	sh.addLocked(nil, nil)
 }

@@ -18,6 +18,10 @@ import (
 // ErrBudgetExceeded is returned when a spend would push a user past cap.
 var ErrBudgetExceeded = errors.New("privacy: budget exceeded")
 
+// ErrWrongGroup is returned by BindSpendN when the user is already bound
+// to a different group than the one charged.
+var ErrWrongGroup = errors.New("privacy: user belongs to another group")
+
 // stripes is the number of independent ledger shards. Spends for different
 // users hash to different stripes and proceed concurrently; 64 keeps the
 // collision probability low for any realistic ingest worker count.
@@ -27,18 +31,55 @@ const stripes = 64
 // to exactly ε.
 const spendTol = 1e-9
 
-// ledgerStripe is one shard of the spend ledger, padded to a full cache
-// line (8B mutex + 8B map header + 48B pad = 64B) so adjacent stripes
-// don't false-share under concurrent spends.
-type ledgerStripe struct {
-	mu    sync.Mutex
-	spent map[string]float64
-	_     [48]byte
+// entry is one user's ledger row: cumulative spend and group binding.
+// DAP's sequential composition makes this the whole per-user state a
+// collector keeps — which group the user reports in and how much of ε
+// that group has used — so binding and charging touch one map slot.
+type entry struct {
+	spent float64
+	// group is the bound group plus one; 0 means unbound (a user charged
+	// through SpendN, which knows no groups).
+	group int32
 }
 
-// Accountant tracks per-user spent budget against a common cap. It is
-// safe for concurrent use; operations on different users mostly proceed
-// without contention.
+// ledgerStripe is one shard of the ledger, padded to a full cache line
+// (8B mutex + 8B map header + 8B count + 40B pad = 64B) so adjacent
+// stripes don't false-share under concurrent spends. spenders counts
+// the rows with a positive spend: a row bound by a join (or left by a
+// refund) but never charged holds a binding, not a ledger entry, and
+// stays out of Users and Export.
+type ledgerStripe struct {
+	mu       sync.Mutex
+	rows     map[string]entry
+	spenders int
+	_        [40]byte
+}
+
+// add moves row e of user id by total (either sign) and stores it,
+// keeping the spender count in step. A row that drops to zero keeps its
+// binding; an unbound one disappears. Caller holds p.mu.
+func (p *ledgerStripe) add(id string, e entry, total float64) {
+	was := e.spent > 0
+	e.spent += total
+	if e.spent <= 0 {
+		e.spent = 0
+	}
+	switch now := e.spent > 0; {
+	case now && !was:
+		p.spenders++
+	case was && !now:
+		p.spenders--
+	}
+	if e.spent == 0 && e.group == 0 {
+		delete(p.rows, id)
+		return
+	}
+	p.rows[id] = e
+}
+
+// Accountant tracks per-user spent budget against a common cap, together
+// with each user's group binding. It is safe for concurrent use;
+// operations on different users mostly proceed without contention.
 type Accountant struct {
 	cap  float64
 	seed maphash.Seed
@@ -52,7 +93,7 @@ func NewAccountant(cap float64) (*Accountant, error) {
 	}
 	a := &Accountant{cap: cap, seed: maphash.MakeSeed()}
 	for i := range a.part {
-		a.part[i].spent = make(map[string]float64)
+		a.part[i].rows = make(map[string]entry)
 	}
 	return a, nil
 }
@@ -66,6 +107,17 @@ func (a *Accountant) stripe(id string) *ledgerStripe {
 	return &a.part[maphash.String(a.seed, id)&(stripes-1)]
 }
 
+// checkSpend validates a spend request's arguments.
+func checkSpend(eps float64, n int) error {
+	if eps <= 0 {
+		return errors.New("privacy: spend must be positive")
+	}
+	if n <= 0 {
+		return errors.New("privacy: spend count must be positive")
+	}
+	return nil
+}
+
 // Spend records eps of budget consumption for user id, applying
 // sequential composition. It fails without recording when the spend would
 // exceed the cap.
@@ -76,24 +128,86 @@ func (a *Accountant) Spend(id string, eps float64) error {
 // SpendN atomically records n spends of eps each for user id. Either the
 // whole batch fits under the cap and is recorded, or nothing is: a
 // multi-report upload can never burn part of a user's budget and then be
-// rejected, and no concurrent interleaving can overspend.
+// rejected, and no concurrent interleaving can overspend. SpendN neither
+// checks nor sets a group binding.
 func (a *Accountant) SpendN(id string, eps float64, n int) error {
-	if eps <= 0 {
-		return errors.New("privacy: spend must be positive")
-	}
-	if n <= 0 {
-		return errors.New("privacy: spend count must be positive")
+	if err := checkSpend(eps, n); err != nil {
+		return err
 	}
 	total := eps * float64(n)
 	p := a.stripe(id)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.spent[id]+total > a.cap+spendTol {
+	e := p.rows[id]
+	if e.spent+total > a.cap+spendTol {
 		return fmt.Errorf("%w: user %s at %.6g of %.6g, requested %.6g",
-			ErrBudgetExceeded, id, p.spent[id], a.cap, total)
+			ErrBudgetExceeded, id, e.spent, a.cap, total)
 	}
-	p.spent[id] += total
+	p.add(id, e, total)
 	return nil
+}
+
+// BindSpendN is SpendN for a user who reports in group: under one stripe
+// lock it checks the user's binding (an unbound user is bound to group,
+// a user bound elsewhere is rejected with ErrWrongGroup) and charges n
+// spends of eps. A rejected call changes nothing.
+func (a *Accountant) BindSpendN(id string, group int, eps float64, n int) error {
+	if err := checkSpend(eps, n); err != nil {
+		return err
+	}
+	total := eps * float64(n)
+	p := a.stripe(id)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e := p.rows[id]
+	if e.group != 0 && int(e.group-1) != group {
+		return fmt.Errorf("%w: user %s is bound to group %d", ErrWrongGroup, id, e.group-1)
+	}
+	if e.spent+total > a.cap+spendTol {
+		return fmt.Errorf("%w: user %s at %.6g of %.6g, requested %.6g",
+			ErrBudgetExceeded, id, e.spent, a.cap, total)
+	}
+	e.group = int32(group) + 1
+	p.add(id, e, total)
+	return nil
+}
+
+// ForceBindSpendN is BindSpendN for WAL replay: it binds an unbound user
+// to group, keeps an existing binding, and records n spends of eps
+// without the cap check (n = 0 binds only). A logged charge was already
+// admitted under the cap before it was written, so re-applying it must
+// not re-ask — otherwise float drift or a tightened cap could silently
+// drop acked spend and break budget monotonicity across recovery.
+func (a *Accountant) ForceBindSpendN(id string, group int, eps float64, n int) {
+	p := a.stripe(id)
+	p.mu.Lock()
+	e := p.rows[id]
+	if e.group == 0 {
+		e.group = int32(group) + 1
+	}
+	p.add(id, e, eps*float64(n))
+	p.mu.Unlock()
+}
+
+// Bind records group as user id's binding, replacing any previous one
+// and keeping the user's spend: a join handing out the user, or a
+// recovered snapshot restoring it.
+func (a *Accountant) Bind(id string, group int) {
+	p := a.stripe(id)
+	p.mu.Lock()
+	e := p.rows[id]
+	e.group = int32(group) + 1
+	p.rows[id] = e
+	p.mu.Unlock()
+}
+
+// Group returns user id's bound group, ok = false when unbound.
+func (a *Accountant) Group(id string) (group int, ok bool) {
+	p := a.stripe(id)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e := p.rows[id]
+	return int(e.group) - 1, e.group != 0
 }
 
 // Spent returns the budget consumed by user id so far.
@@ -101,7 +215,7 @@ func (a *Accountant) Spent(id string) float64 {
 	p := a.stripe(id)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.spent[id]
+	return p.rows[id].spent
 }
 
 // Remaining returns the budget user id may still spend.
@@ -113,56 +227,65 @@ func (a *Accountant) Remaining(id string) float64 {
 	return r
 }
 
-// ForceSpend records n spends of eps for user id without the cap check.
-// It exists for WAL replay: a logged charge was already admitted under the
-// cap before it was written, so re-applying it must not re-ask — otherwise
-// float drift or a tightened cap could silently drop acked spend and
-// break budget monotonicity across recovery.
-func (a *Accountant) ForceSpend(id string, eps float64, n int) {
-	p := a.stripe(id)
-	p.mu.Lock()
-	p.spent[id] += eps * float64(n)
-	p.mu.Unlock()
-}
-
 // Refund returns n spends of eps to user id, clamping at zero. It exists
 // for the durable ingest path: a charge whose WAL append fails is rolled
-// back so the rejected request leaves no trace.
+// back so the rejected request leaves no trace in the ledger. The user's
+// group binding stays, as it would after any rejected report.
 func (a *Accountant) Refund(id string, eps float64, n int) {
 	p := a.stripe(id)
 	p.mu.Lock()
-	p.spent[id] -= eps * float64(n)
-	if p.spent[id] <= 0 {
-		delete(p.spent, id)
+	if e, ok := p.rows[id]; ok {
+		p.add(id, e, -eps*float64(n))
 	}
 	p.mu.Unlock()
 }
 
-// Export copies the full ledger: per-user consumed budget. Snapshots
-// persist it and Import restores it.
+// Export copies the ledger: per-user consumed budget of every user with
+// a positive spend. Snapshots persist it and Import restores it.
 func (a *Accountant) Export() map[string]float64 {
-	out := make(map[string]float64)
+	out := make(map[string]float64, a.Users())
 	for i := range a.part {
 		p := &a.part[i]
 		p.mu.Lock()
-		for id, v := range p.spent {
-			out[id] = v
+		for id, e := range p.rows {
+			if e.spent > 0 {
+				out[id] = e.spent
+			}
 		}
 		p.mu.Unlock()
 	}
 	return out
 }
 
-// Import replaces users' spends with the exported ledger m. Entries for
-// users not in m are left untouched (recovery imports into a fresh
-// accountant, so in practice this is a full restore).
+// Import replaces users' spends with the exported ledger m, keeping
+// their bindings. Entries for users not in m are left untouched
+// (recovery imports into a fresh accountant, so in practice this is a
+// full restore).
 func (a *Accountant) Import(m map[string]float64) {
 	for id, v := range m {
 		p := a.stripe(id)
 		p.mu.Lock()
-		p.spent[id] = v
+		e := p.rows[id]
+		p.add(id, e, v-e.spent)
 		p.mu.Unlock()
 	}
+}
+
+// ExportGroups copies every group binding, including those of users who
+// joined but never spent. Snapshots persist it and Bind restores it.
+func (a *Accountant) ExportGroups() map[string]int {
+	out := make(map[string]int)
+	for i := range a.part {
+		p := &a.part[i]
+		p.mu.Lock()
+		for id, e := range p.rows {
+			if e.group != 0 {
+				out[id] = int(e.group) - 1
+			}
+		}
+		p.mu.Unlock()
+	}
+	return out
 }
 
 // TotalSpent sums consumed budget across all users — the scalar the
@@ -172,8 +295,8 @@ func (a *Accountant) TotalSpent() float64 {
 	for i := range a.part {
 		p := &a.part[i]
 		p.mu.Lock()
-		for _, v := range p.spent {
-			sum += v
+		for _, e := range p.rows {
+			sum += e.spent
 		}
 		p.mu.Unlock()
 	}
@@ -186,7 +309,7 @@ func (a *Accountant) Users() int {
 	for i := range a.part {
 		p := &a.part[i]
 		p.mu.Lock()
-		n += len(p.spent)
+		n += p.spenders
 		p.mu.Unlock()
 	}
 	return n
@@ -199,9 +322,9 @@ func (a *Accountant) Stats() (users int, spent float64) {
 	for i := range a.part {
 		p := &a.part[i]
 		p.mu.Lock()
-		users += len(p.spent)
-		for _, v := range p.spent {
-			spent += v
+		users += p.spenders
+		for _, e := range p.rows {
+			spent += e.spent
 		}
 		p.mu.Unlock()
 	}

@@ -80,7 +80,7 @@ func FuzzWALSegment(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		good, _, _, err := readSegment(OS{}, path, func(*Record) {})
+		good, _, _, err := new(walReader).readSegment(OS{}, path, func(*Record) {})
 		if err != nil {
 			return
 		}

@@ -184,16 +184,14 @@ func snapPath(dir string, lsn uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%020d.snap", lsn))
 }
 
-// Recovery is what Load found on disk: the newest verifiable snapshot
-// (nil when none) and every intact WAL record, in LSN order. Torn
-// reports whether a torn or corrupt record was found and truncated;
-// Warnings carries human-readable notes (corrupt snapshots skipped,
-// segments dropped).
+// Recovery is what Load found on disk besides the WAL records: the
+// newest verifiable snapshot (nil when none), whether a torn or corrupt
+// record was found and truncated, and human-readable notes (corrupt
+// snapshots skipped, segments dropped). The records themselves are
+// never materialized: Replay streams them to its consumer.
 type Recovery struct {
 	// Snapshot is the newest snapshot that verified, nil if none.
 	Snapshot *Snapshot
-	// Records are the intact WAL records, LSN ascending.
-	Records []Record
 	// Torn reports whether a torn tail was truncated somewhere.
 	Torn bool
 	// Warnings describes anything skipped or repaired.
@@ -201,10 +199,23 @@ type Recovery struct {
 }
 
 // Load scans the store directory: picks the newest snapshot that passes
-// verification, reads every intact WAL record, truncates torn tails in
-// place and opens the log for appending. It must be called exactly once,
-// before any append.
+// verification, checks every WAL record, truncates torn tails in place
+// and opens the log for appending. It is Replay without a consumer for
+// the records. Load or Replay must be called exactly once, before any
+// append.
 func (s *Store) Load() (*Recovery, error) {
+	return s.Replay(nil, nil)
+}
+
+// Replay is Load for a caller that rebuilds state from the store. Once
+// the newest verifiable snapshot is picked it is passed to onSnapshot
+// (nil when there is none); then every intact WAL record is passed to
+// onRecord, LSN ascending, as it is decoded — one record in memory at a
+// time, however long the log. The *Record, its Values and the strings
+// it shares with the previous record are reused for the next one, so
+// onRecord must copy what it keeps beyond the call. Either callback may
+// be nil. Both run with the store locked and must not call the store.
+func (s *Store) Replay(onSnapshot func(*Snapshot), onRecord func(*Record)) (*Recovery, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.loaded {
@@ -252,17 +263,22 @@ func (s *Store) Load() (*Recovery, error) {
 		s.snapLSN = snap.LSN
 		break
 	}
+	if onSnapshot != nil {
+		onSnapshot(rec.Snapshot)
+	}
+	if onRecord == nil {
+		onRecord = func(*Record) {}
+	}
 	// Replay every segment in order, truncating at the first torn or
 	// corrupt record of each. Later segments still replay: their records
 	// were intact on disk and applying them is strictly better than
 	// discarding them.
 	s.nextLSN = 1
 	keep := s.segs[:0]
+	var wr walReader
 	for i := range s.segs {
 		seg := &s.segs[i]
-		good, next, torn, err := readSegment(s.fs, seg.path, func(r *Record) {
-			rec.Records = append(rec.Records, *r)
-		})
+		good, next, torn, err := wr.readSegment(s.fs, seg.path, onRecord)
 		if err != nil {
 			return nil, fmt.Errorf("store: reading %s: %w", seg.path, err)
 		}

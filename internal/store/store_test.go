@@ -18,13 +18,26 @@ func openTest(t *testing.T, dir string, opts Options) *Store {
 	return s
 }
 
-func mustLoad(t *testing.T, s *Store) *Recovery {
+// loaded is what a Replay found, with the streamed records collected.
+type loaded struct {
+	*Recovery
+	Records []Record
+}
+
+// mustLoad replays s, keeping a copy of every streamed record (Replay
+// reuses the *Record it passes).
+func mustLoad(t *testing.T, s *Store) loaded {
 	t.Helper()
-	rec, err := s.Load()
+	var recs []Record
+	rec, err := s.Replay(nil, func(r *Record) {
+		c := *r
+		c.Values = append([]float64(nil), r.Values...)
+		recs = append(recs, c)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec
+	return loaded{rec, recs}
 }
 
 // appendMix writes one of each record type and returns the records.

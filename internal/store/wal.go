@@ -1,12 +1,14 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // The WAL is a sequence of segment files named wal-<firstLSN>.log. Every
@@ -37,6 +39,11 @@ const frameHeaderSize = 8
 // maxRecordBytes bounds a single record frame; larger lengths in a
 // corrupted file are treated as a torn tail rather than allocated.
 const maxRecordBytes = 16 << 20
+
+// readBufBytes is the WAL scan's read buffer: recovery reads the log a
+// MiB per read(2) instead of two reads per record. A record larger than
+// the buffer is read past it into a payload buffer of its own.
+const readBufBytes = 1 << 20
 
 // castagnoli is the CRC-32C table used for record and snapshot checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -180,6 +187,25 @@ func (c *byteCursor) ustring() (string, error) {
 	return s, nil
 }
 
+// ustringAs is ustring that returns prev, without allocating, when the
+// bytes spell it — a replayed log names the same tenant record after
+// record.
+func (c *byteCursor) ustringAs(prev string) (string, error) {
+	n, err := c.uvarint()
+	if err != nil {
+		return "", err
+	}
+	if n > uint64(len(c.b)-c.off) {
+		return "", errCorrupt
+	}
+	b := c.b[c.off : c.off+int(n)]
+	c.off += int(n)
+	if string(b) == prev {
+		return prev, nil
+	}
+	return string(b), nil
+}
+
 func (c *byteCursor) ubytes() ([]byte, error) {
 	n, err := c.uvarint()
 	if err != nil {
@@ -202,15 +228,19 @@ func (c *byteCursor) float64() (float64, error) {
 	return v, nil
 }
 
-// decodeRecord parses one payload into r.
+// decodeRecord parses one payload into r, overwriting every field. It
+// reuses r's Values storage and, when the tenant is unchanged, its
+// Tenant string, so a scan decoding into one Record allocates little
+// beyond the user ids.
 func decodeRecord(payload []byte, r *Record) error {
 	if len(payload) < 1 {
 		return errCorrupt
 	}
+	*r = Record{Tenant: r.Tenant, Values: r.Values[:0]}
 	c := byteCursor{b: payload, off: 1}
 	r.Type = RecordType(payload[0])
 	var err error
-	if r.Tenant, err = c.ustring(); err != nil {
+	if r.Tenant, err = c.ustringAs(r.Tenant); err != nil {
 		return err
 	}
 	switch r.Type {
@@ -230,7 +260,7 @@ func decodeRecord(payload []byte, r *Record) error {
 		if n > uint64(len(c.b)-c.off)/8 {
 			return errCorrupt
 		}
-		r.Values = make([]float64, n)
+		r.Values = slices.Grow(r.Values, int(n))[:n]
 		for i := range r.Values {
 			if r.Values[i], err = c.float64(); err != nil {
 				return err
@@ -270,54 +300,81 @@ func decodeRecord(payload []byte, r *Record) error {
 	return nil
 }
 
+// walReader scans segment files through one read buffer and one
+// decoded Record, both reused from record to record and segment to
+// segment.
+type walReader struct {
+	br      *bufio.Reader
+	payload []byte // records larger than the read buffer
+	rec     Record
+}
+
 // readSegment scans one segment file, calling emit for every intact
-// record. It returns the byte offset of the end of the last intact record
-// (the truncation point when the tail is torn), whether a torn/corrupt
-// tail was found, and the next LSN after the last intact record. A file
-// too short for the header counts as torn at offset 0.
-func readSegment(fs FS, path string, emit func(*Record)) (good int64, nextLSN uint64, torn bool, err error) {
+// record (the *Record is reused for the next one). It returns the byte
+// offset of the end of the last intact record (the truncation point when
+// the tail is torn), whether a torn/corrupt tail was found, and the next
+// LSN after the last intact record. A file too short for the header
+// counts as torn at offset 0.
+func (w *walReader) readSegment(fs FS, path string, emit func(*Record)) (good int64, nextLSN uint64, torn bool, err error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	defer f.Close()
-	hdr := make([]byte, walHeaderSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, 0, true, nil
+	if w.br == nil {
+		w.br = bufio.NewReaderSize(f, readBufBytes)
+	} else {
+		w.br.Reset(f)
 	}
-	if string(hdr[:len(walMagic)]) != walMagic {
+	br := w.br
+	hdr, err := br.Peek(walHeaderSize)
+	if err != nil || string(hdr[:len(walMagic)]) != walMagic {
 		return 0, 0, true, nil
 	}
 	lsn := binary.LittleEndian.Uint64(hdr[len(walMagic):])
+	_, _ = br.Discard(walHeaderSize) // peeked: cannot fail
 	good = int64(walHeaderSize)
-	frame := make([]byte, frameHeaderSize)
-	var payload []byte
 	for {
-		if _, err := io.ReadFull(f, frame); err != nil {
-			return good, lsn, !errors.Is(err, io.EOF), nil
+		frame, err := br.Peek(frameHeaderSize)
+		if len(frame) < frameHeaderSize {
+			// A clean end of file lands exactly on a frame boundary;
+			// anything else is a torn frame header or a read error.
+			return good, lsn, len(frame) > 0 || !errors.Is(err, io.EOF), nil
 		}
-		n := binary.LittleEndian.Uint32(frame[:4])
+		n := int(binary.LittleEndian.Uint32(frame[:4]))
 		crc := binary.LittleEndian.Uint32(frame[4:])
 		if n > maxRecordBytes {
 			return good, lsn, true, nil
 		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return good, lsn, true, nil
+		_, _ = br.Discard(frameHeaderSize)
+		// The payload is a view into the read buffer when it fits
+		// (consumed below, after decoding copies what the record keeps),
+		// and read into its own buffer otherwise.
+		var payload []byte
+		buffered := n <= br.Size()
+		if buffered {
+			if payload, _ = br.Peek(n); len(payload) < n {
+				return good, lsn, true, nil
+			}
+		} else {
+			w.payload = slices.Grow(w.payload[:0], n)[:n]
+			if _, err := io.ReadFull(br, w.payload); err != nil {
+				return good, lsn, true, nil
+			}
+			payload = w.payload
 		}
 		if crc32.Checksum(payload, castagnoli) != crc {
 			return good, lsn, true, nil
 		}
-		var r Record
-		if err := decodeRecord(payload, &r); err != nil {
+		if err := decodeRecord(payload, &w.rec); err != nil {
 			return good, lsn, true, nil
 		}
-		r.LSN = lsn
+		if buffered {
+			_, _ = br.Discard(n)
+		}
+		w.rec.LSN = lsn
 		lsn++
 		good += int64(frameHeaderSize) + int64(n)
-		emit(&r)
+		emit(&w.rec)
 	}
 }

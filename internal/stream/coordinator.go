@@ -190,34 +190,26 @@ func RecoverCoordinator(cfg CoordinatorConfig) (*Coordinator, *RecoveryReport, e
 	if cfg.Store == nil {
 		return nil, nil, errors.New("stream: RecoverCoordinator needs a store")
 	}
-	rec, err := cfg.Store.Load()
-	if err != nil {
-		return nil, nil, err
-	}
 	c, err := NewCoordinator(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &RecoveryReport{
-		Records:  len(rec.Records),
-		Torn:     rec.Torn,
-		Warnings: rec.Warnings,
-	}
+	rep := &RecoveryReport{}
 	c.replay = true
-	for i := range rec.Records {
-		r := &rec.Records[i]
+	rec, err := cfg.Store.Replay(nil, func(r *store.Record) {
+		rep.Records++
 		switch r.Type {
 		case store.RecTenantCreate:
 			var sp core.Spec
 			if err := json.Unmarshal(r.Spec, &sp); err != nil {
 				rep.Warnings = append(rep.Warnings,
 					fmt.Sprintf("merge replay: undecodable spec for tenant %q: %v", r.Tenant, err))
-				continue
+				return
 			}
 			if err := c.AddTenantSpec(r.Tenant, sp); err != nil {
 				rep.Warnings = append(rep.Warnings,
 					fmt.Sprintf("merge replay: tenant %q: %v", r.Tenant, err))
-				continue
+				return
 			}
 			rep.Applied++
 		case store.RecMergeDelta:
@@ -225,14 +217,19 @@ func RecoverCoordinator(cfg CoordinatorConfig) (*Coordinator, *RecoveryReport, e
 				rep.Warnings = append(rep.Warnings,
 					fmt.Sprintf("merge replay: delta lsn %d (node %q, epoch %d): %v",
 						r.LSN, r.User, r.Seq, err))
-				continue
+				return
 			}
 			rep.Applied++
 		default:
 			rep.Warnings = append(rep.Warnings,
 				fmt.Sprintf("merge replay: skipping %s record lsn %d", r.Type, r.LSN))
 		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	rep.Torn = rec.Torn
+	rep.Warnings = append(rec.Warnings, rep.Warnings...)
 	c.replay = false
 	c.mu.Lock()
 	rep.Tenants = len(c.tenants)

@@ -26,24 +26,10 @@ import (
 // order equals LSN order and reproduces exactly). acctFrom is where the
 // snapshot's accountant ledger and join counter stop being authoritative:
 // charges and joins at or beyond it replay into the accountant — with
-// ForceSpend, not SpendN, because every logged record was already
-// admitted under the cap. Records between walStart and acctFrom therefore
+// ForceBindSpendN, not BindSpendN, because every logged record was
+// already admitted under the cap. Records between walStart and acctFrom therefore
 // rebuild histograms without re-charging: the snapshot cut happened
 // mid-epoch and its ledger already reflects them.
-
-// export copies the user→group binding map out of the stripes.
-func (u *userGroups) export() map[string]int {
-	out := make(map[string]int)
-	for i := range u.shards {
-		s := &u.shards[i]
-		s.mu.RLock()
-		for user, g := range s.m {
-			out[user] = g
-		}
-		s.mu.RUnlock()
-	}
-	return out
-}
 
 // snapshotCut builds the tenant's durable image at a consistent cut: the
 // exclusive tenant lock quiesces ingest (whose charge→append→apply runs
@@ -70,7 +56,7 @@ func (t *Tenant) snapshotCut() (store.TenantSnap, error) {
 		AcctLSN:  acctLSN,
 		Joined:   joined,
 		Spend:    t.acct.Export(),
-		Users:    t.userGrp.export(),
+		Users:    t.acct.ExportGroups(),
 	}
 	for i := range t.sealed {
 		eh := &t.sealed[i]
@@ -97,10 +83,10 @@ func restoreTenant(ts *store.TenantSnap) (*Tenant, error) {
 	for _, ep := range ts.Epochs {
 		t.sealed = append(t.sealed, epochHist{counts: ep.Counts, sums: ep.Sums, ns: ep.Ns})
 	}
-	t.acct.Import(ts.Spend)
 	for user, g := range ts.Users {
-		t.userGrp.store(hashUser(user), user, g)
+		t.acct.Bind(user, g)
 	}
+	t.acct.Import(ts.Spend)
 	t.joined = ts.Joined
 	t.walStart = ts.StartLSN
 	t.acctFrom = ts.AcctLSN
@@ -136,22 +122,16 @@ type RecoveryReport struct {
 // registry owns st for future appends and snapshots (but not its
 // lifetime — closing the store is still the caller's job).
 func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
-	rec, err := st.Load()
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := &RecoveryReport{
-		Records:  len(rec.Records),
-		Torn:     rec.Torn,
-		Warnings: rec.Warnings,
-	}
 	reg := NewRegistry()
 	reg.st = st
-	if rec.Snapshot != nil {
-		rep.SnapshotLSN = rec.Snapshot.LSN
-		for i := range rec.Snapshot.Tenants {
-			ts := &rec.Snapshot.Tenants[i]
-			t, err := restoreTenant(ts)
+	rep := &RecoveryReport{}
+	rec, err := st.Replay(func(snap *store.Snapshot) {
+		if snap == nil {
+			return
+		}
+		rep.SnapshotLSN = snap.LSN
+		for i := range snap.Tenants {
+			t, err := restoreTenant(&snap.Tenants[i])
 			if err != nil {
 				rep.Warnings = append(rep.Warnings, err.Error())
 				continue
@@ -160,63 +140,15 @@ func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 			rep.SpendBefore += t.acct.TotalSpent()
 			reg.tenants[t.name] = t
 		}
+	}, func(r *store.Record) {
+		rep.Records++
+		replayRecord(reg, rep, r)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	for i := range rec.Records {
-		r := &rec.Records[i]
-		if r.Type == store.RecTenantCreate {
-			if _, ok := reg.tenants[r.Tenant]; ok {
-				continue // predates the snapshot that already holds it
-			}
-			var sp core.Spec
-			if err := json.Unmarshal(r.Spec, &sp); err != nil {
-				rep.Warnings = append(rep.Warnings,
-					fmt.Sprintf("tenant %s create at LSN %d: bad spec: %v", r.Tenant, r.LSN, err))
-				continue
-			}
-			t, err := NewTenantSpec(r.Tenant, sp)
-			if err != nil {
-				rep.Warnings = append(rep.Warnings,
-					fmt.Sprintf("tenant %s create at LSN %d: %v", r.Tenant, r.LSN, err))
-				continue
-			}
-			t.st = st
-			t.walStart = r.LSN + 1
-			t.acctFrom = r.LSN + 1
-			reg.tenants[r.Tenant] = t
-			rep.Applied++
-			continue
-		}
-		t, ok := reg.tenants[r.Tenant]
-		if !ok {
-			continue // deleted later, or its create was lost with a torn tail
-		}
-		switch r.Type {
-		case store.RecIngest:
-			if r.LSN < t.walStart {
-				continue // already inside a sealed epoch the snapshot holds
-			}
-			if err := t.replayIngest(r.User, r.Group, r.Values, r.LSN >= t.acctFrom); err != nil {
-				rep.Warnings = append(rep.Warnings,
-					fmt.Sprintf("tenant %s ingest at LSN %d: %v", r.Tenant, r.LSN, err))
-				continue
-			}
-			rep.Applied++
-		case store.RecJoin:
-			if r.LSN >= t.acctFrom {
-				t.restoreJoin(r.User, r.Group)
-				rep.Applied++
-			}
-		case store.RecRotate:
-			if r.LSN >= t.walStart {
-				t.replaySeal(r.Seq)
-				t.walStart = r.LSN + 1
-				rep.Applied++
-			}
-		case store.RecTenantDelete:
-			delete(reg.tenants, r.Tenant)
-			rep.Applied++
-		}
-	}
+	rep.Torn = rec.Torn
+	rep.Warnings = append(rec.Warnings, rep.Warnings...)
 	// Sum the ledgers in sorted tenant order: map iteration order varies
 	// run to run and float addition is not associative, so an unordered
 	// sum could make the monotonicity gate below flicker across otherwise
@@ -253,6 +185,65 @@ func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 		t.Start()
 	}
 	return reg, rep, nil
+}
+
+// replayRecord applies one WAL record to the registry being recovered,
+// in LSN order: records that predate the tenant's snapshot cut, or
+// belong to a deleted tenant, are skipped.
+func replayRecord(reg *Registry, rep *RecoveryReport, r *store.Record) {
+	if r.Type == store.RecTenantCreate {
+		if _, ok := reg.tenants[r.Tenant]; ok {
+			return // predates the snapshot that already holds it
+		}
+		var sp core.Spec
+		if err := json.Unmarshal(r.Spec, &sp); err != nil {
+			rep.Warnings = append(rep.Warnings,
+				fmt.Sprintf("tenant %s create at LSN %d: bad spec: %v", r.Tenant, r.LSN, err))
+			return
+		}
+		t, err := NewTenantSpec(r.Tenant, sp)
+		if err != nil {
+			rep.Warnings = append(rep.Warnings,
+				fmt.Sprintf("tenant %s create at LSN %d: %v", r.Tenant, r.LSN, err))
+			return
+		}
+		t.st = reg.st
+		t.walStart = r.LSN + 1
+		t.acctFrom = r.LSN + 1
+		reg.tenants[r.Tenant] = t
+		rep.Applied++
+		return
+	}
+	t, ok := reg.tenants[r.Tenant]
+	if !ok {
+		return // deleted later, or its create was lost with a torn tail
+	}
+	switch r.Type {
+	case store.RecIngest:
+		if r.LSN < t.walStart {
+			return // already inside a sealed epoch the snapshot holds
+		}
+		if err := t.replayIngest(r.User, r.Group, r.Values, r.LSN >= t.acctFrom); err != nil {
+			rep.Warnings = append(rep.Warnings,
+				fmt.Sprintf("tenant %s ingest at LSN %d: %v", r.Tenant, r.LSN, err))
+			return
+		}
+		rep.Applied++
+	case store.RecJoin:
+		if r.LSN >= t.acctFrom {
+			t.restoreJoin(r.User, r.Group)
+			rep.Applied++
+		}
+	case store.RecRotate:
+		if r.LSN >= t.walStart {
+			t.replaySeal(r.Seq)
+			t.walStart = r.LSN + 1
+			rep.Applied++
+		}
+	case store.RecTenantDelete:
+		delete(reg.tenants, r.Tenant)
+		rep.Applied++
+	}
 }
 
 // Store returns the registry's durability layer, nil for an ephemeral

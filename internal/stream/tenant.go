@@ -19,8 +19,9 @@ import (
 )
 
 // ErrWrongGroup is returned by Ingest when a user reports for a different
-// group than the one they are bound to.
-var ErrWrongGroup = errors.New("stream: user belongs to another group")
+// group than the one they are bound to. The binding lives in the
+// accountant's ledger row, so this is the accountant's error.
+var ErrWrongGroup = privacy.ErrWrongGroup
 
 // ErrStoreDown is returned when a state change cannot be made durable:
 // the request was rejected (and any budget charge rolled back) because
@@ -31,7 +32,7 @@ var ErrStoreDown = errors.New("stream: durable store unavailable")
 // flight; the caller should retry shortly.
 var ErrRotating = errors.New("stream: rotation in progress")
 
-// hashUser maps a user id to a histogram/binding stripe with FNV-1a. The
+// hashUser maps a user id to a histogram stripe with FNV-1a. The
 // hash must be stable across process restarts — WAL replay re-runs every
 // accepted report through the ingest path, and bit-identical recovered
 // sums need two ingredients: a deterministic user→stripe assignment
@@ -102,10 +103,10 @@ type Tenant struct {
 	// only consulted during single-threaded recovery.
 	acctFrom uint64
 
+	// joinMu guards joined; a user's group binding lives in its acct row
+	// (set at join or first report).
 	joinMu sync.Mutex
 	joined int
-
-	userGrp userGroups // user id → group index (set at join or first report)
 
 	// mu orders ingestion against rotation: ingesters hold it shared while
 	// touching a live stripe, Rotate holds it exclusively while swapping
@@ -260,7 +261,7 @@ func (t *Tenant) Join() (string, core.Group) {
 		_, _ = t.st.AppendJoin(t.name, id, grp)
 	}
 	t.joined++
-	t.userGrp.store(hashUser(id), id, grp)
+	t.acct.Bind(id, grp)
 	t.joinMu.Unlock()
 	return id, t.groups[grp]
 }
@@ -270,7 +271,7 @@ func (t *Tenant) Join() (string, core.Group) {
 func (t *Tenant) restoreJoin(user string, group int) {
 	t.joinMu.Lock()
 	t.joined++
-	t.userGrp.store(hashUser(user), user, group)
+	t.acct.Bind(user, group)
 	t.joinMu.Unlock()
 }
 
@@ -279,54 +280,6 @@ func (t *Tenant) Joined() int {
 	t.joinMu.Lock()
 	defer t.joinMu.Unlock()
 	return t.joined
-}
-
-// userGroups is a striped, typed user→group binding map. The bind-check
-// on the ingest hot path is one RLock plus one map[string]int lookup —
-// unlike sync.Map, whose any-typed keys box the user string (one 16-byte
-// allocation) on every call.
-type userGroups struct {
-	shards [64]userGroupShard
-}
-
-type userGroupShard struct {
-	mu sync.RWMutex
-	m  map[string]int
-	_  [32]byte // keep adjacent stripes off one cache line
-}
-
-// loadOrStore returns the existing binding for user, or records group as
-// its binding. hash selects the stripe (any stable hash of user works;
-// Ingest reuses the histogram stripe hash).
-func (u *userGroups) loadOrStore(hash uint64, user string, group int) (prev int, loaded bool) {
-	s := &u.shards[hash&63]
-	s.mu.RLock()
-	prev, ok := s.m[user]
-	s.mu.RUnlock()
-	if ok {
-		return prev, true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.m[user]; ok {
-		return prev, true
-	}
-	if s.m == nil {
-		s.m = make(map[string]int)
-	}
-	s.m[user] = group
-	return group, false
-}
-
-// store records a binding unconditionally (user join).
-func (u *userGroups) store(hash uint64, user string, group int) {
-	s := &u.shards[hash&63]
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[string]int)
-	}
-	s.m[user] = group
-	s.mu.Unlock()
 }
 
 // idxPool recycles the per-request bucket-index buffer so the steady-state
@@ -374,11 +327,10 @@ func (t *Tenant) ingest(user string, group int, values []float64) error {
 		return err
 	}
 	stripe := hashUser(user)
-	if prev, loaded := t.userGrp.loadOrStore(stripe, user, group); loaded && prev != group {
-		return fmt.Errorf("%w: user %s is bound to group %d", ErrWrongGroup, user, prev)
-	}
 	// Budget accounting: each report in group t costs ε_t; the batch is
-	// charged atomically before any histogram is touched. Charge, WAL
+	// bound and charged atomically (one accountant row, one stripe lock:
+	// a user bound elsewhere is rejected with ErrWrongGroup) before any
+	// histogram is touched. Charge, WAL
 	// append and histogram apply all happen under the shared rotation lock
 	// so an epoch seal (which logs its own record under the exclusive
 	// lock) can never slip between the append and the apply — the WAL's
@@ -393,7 +345,7 @@ func (t *Tenant) ingest(user string, group int, values []float64) error {
 	t.mu.RLock()
 	sh := t.live[group].stripe(stripe)
 	sh.mu.Lock()
-	if err := t.acct.SpendN(user, g.Eps, len(values)); err != nil {
+	if err := t.acct.BindSpendN(user, group, g.Eps, len(values)); err != nil {
 		sh.mu.Unlock()
 		t.mu.RUnlock()
 		return err
@@ -423,7 +375,7 @@ func (t *Tenant) ingest(user string, group int, values []float64) error {
 type BatchEntry = store.IngestEntry
 
 // IngestBatch applies many reports with Ingest's exact per-entry
-// semantics — validate, bind, charge atomically, then touch group state —
+// semantics — validate, bind and charge atomically, then touch group state —
 // but one WAL write covers every accepted entry, which is what makes the
 // durable ingest path fast. The returned slice holds one error per entry,
 // nil for accepted ones; a rejected entry mutates nothing and does not
@@ -491,12 +443,7 @@ func (t *Tenant) ingestBatch(entries []BatchEntry) []error {
 			continue
 		}
 		arena = arena[:base+len(idx)]
-		stripe := hashUser(e.User)
-		if prev, loaded := t.userGrp.loadOrStore(stripe, e.User, e.Group); loaded && prev != e.Group {
-			errs[i] = fmt.Errorf("%w: user %s is bound to group %d", ErrWrongGroup, e.User, prev)
-			continue
-		}
-		staged = append(staged, stagedEntry{i: i, stripe: stripe, idx: idx})
+		staged = append(staged, stagedEntry{i: i, stripe: hashUser(e.User), idx: idx})
 	}
 	// Same-stripe serialization, batch form (see Ingest): every stripe the
 	// batch touches is locked — in one global (group, stripe) order, so
@@ -518,11 +465,13 @@ func (t *Tenant) ingestBatch(entries []BatchEntry) []error {
 			t.live[k/nsh].shards[k%nsh].mu.Unlock()
 		}
 	}()
-	// Charge each staged entry; a failed charge rejects that entry alone.
+	// Bind and charge each staged entry in batch order; a failed charge
+	// (budget exceeded, or bound to another group) rejects that entry
+	// alone.
 	charged := staged[:0]
 	for _, sg := range staged {
 		e := &entries[sg.i]
-		if err := t.acct.SpendN(e.User, t.groups[e.Group].Eps, len(e.Values)); err != nil {
+		if err := t.acct.BindSpendN(e.User, e.Group, t.groups[e.Group].Eps, len(e.Values)); err != nil {
 			errs[sg.i] = err
 			continue
 		}
@@ -562,10 +511,10 @@ func (t *Tenant) ingestBatch(entries []BatchEntry) []error {
 }
 
 // replayIngest re-applies one logged ingest record during recovery. The
-// values re-run the normal validation/discretization path; the budget
-// charge is forced (the record was admitted under the cap when logged)
-// and only applied when the accountant does not already reflect it
-// (withCharge). Erroring records — possible only if the spec changed
+// values re-run the normal validation/discretization path; the user is
+// bound if not yet bound, and the budget charge is forced (the record
+// was admitted under the cap when logged) and only applied when the
+// accountant does not already reflect it (withCharge). Erroring records — possible only if the spec changed
 // under a tenant, which the spec-from-WAL recovery path prevents — are
 // reported, not applied.
 func (t *Tenant) replayIngest(user string, group int, values []float64, withCharge bool) error {
@@ -579,12 +528,12 @@ func (t *Tenant) replayIngest(user string, group int, values []float64, withChar
 	if err != nil {
 		return err
 	}
-	stripe := hashUser(user)
-	t.userGrp.loadOrStore(stripe, user, group)
+	n := 0
 	if withCharge {
-		t.acct.ForceSpend(user, t.groups[group].Eps, len(values))
+		n = len(values)
 	}
-	t.live[group].add(stripe, idx, values)
+	t.acct.ForceBindSpendN(user, group, t.groups[group].Eps, n)
+	t.live[group].add(hashUser(user), idx, values)
 	return nil
 }
 
