@@ -78,9 +78,10 @@ fuzz-smoke:
 # Durability fault-injection battery under the race detector: kill-and-
 # restart recovery (mid-ingest / mid-rotation / mid-snapshot / torn WAL
 # tail, tumbling and sliding), store-down degraded mode, WAL/snapshot
-# corruption handling, and the merge plane's ledger repair (a node's
-# delta carries only the users charged since its last seal; a lost
-# delta is healed by resending the whole ledger).
+# corruption handling, the buffered WAL scan's frame boundaries, group
+# bindings across recovery, and the merge plane's ledger repair (a
+# node's delta carries only the users charged since its last seal; a
+# lost delta is healed by re-shipping the whole ledger in chunks).
 crash-test:
 	$(GO) test -race -run 'Crash|Recover|Durable|Flaky|Torn|StoreDown|Snapshot|WAL|Ledger|Seal' \
 		./internal/store/ ./internal/stream/ ./internal/transport/
@@ -104,15 +105,16 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # One-iteration benchmark smoke used by CI: the estimator benchmarks of
-# the root package and the seal/merge layer benchmarks of
-# internal/stream. go test exits 0 when the -bench regex matches
+# the root package and the seal/merge, recovery and bind+charge layer
+# benchmarks of internal/stream. go test exits 0 when the -bench regex matches
 # nothing, so the target also fails unless each named benchmark (any of
 # the BenchmarkEStep family) reported a result line.
 bench-smoke:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkEstimate|BenchmarkEStep|BenchmarkFig5Cell' -benchtime 1x . && \
-		$(GO) test -run xxx -bench 'BenchmarkSealDelta|BenchmarkCoordinatorApply' -benchtime 1x ./internal/stream); \
+		$(GO) test -run xxx -bench 'BenchmarkSealDelta|BenchmarkCoordinatorApply|BenchmarkRecover|BenchmarkIngestBatchNewUsers' -benchtime 1x ./internal/stream); \
 	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
-	for b in BenchmarkEstimate 'BenchmarkEStep[[:alnum:]_]*' BenchmarkFig5Cell BenchmarkSealDelta BenchmarkCoordinatorApply; do \
+	for b in BenchmarkEstimate 'BenchmarkEStep[[:alnum:]_]*' BenchmarkFig5Cell BenchmarkSealDelta BenchmarkCoordinatorApply \
+		BenchmarkRecover BenchmarkIngestBatchNewUsers; do \
 		echo "$$out" | grep -Eq "^$$b(-[0-9]+)?[[:space:]]+[0-9]+[[:space:]]" || \
 			{ echo "bench-smoke: no result line for $$b"; exit 1; }; \
 	done

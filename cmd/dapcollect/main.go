@@ -314,8 +314,9 @@ func splitNodes(s string) []string {
 // A delta carries the spends of the users charged since the previous
 // seal only, so whenever one does not merge — dropped here, not
 // encodable, not delivered, or answered anything but "merged" — the
-// pusher asks the tenant (resend) to ship its whole ledger with the next
-// seal, and the coordinator's ledger heals one epoch later.
+// pusher asks the tenant (resend) to re-ship its whole ledger from the
+// next seal on (in frame-sized chunks), and the coordinator's ledger
+// heals once that sweep has merged.
 type deltaPusher struct {
 	push   func(context.Context, []byte) (*transport.MergeResponse, error)
 	resend func(tenant string)

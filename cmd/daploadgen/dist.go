@@ -132,7 +132,7 @@ func runDistributed(c distRun) int {
 		reg.SetSealHook(func(d *stream.EpochDelta) {
 			d.Node = id
 			// A delta that does not merge takes its users' spends with it;
-			// the tenant then ships its whole ledger with the next seal.
+			// the tenant then re-ships its whole ledger from the next seal.
 			resend := func() {
 				if t, ok := reg.Get(d.Tenant); ok {
 					t.ResendLedger()

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -633,5 +635,105 @@ func TestFlakyLatency(t *testing.T) {
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Errorf("append took %v, want ≥20ms of injected latency", d)
+	}
+}
+
+// frameOf frames one record the way the store's append path does.
+func frameOf(r *Record) []byte {
+	payload := encodeRecord(nil, r)
+	f := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(payload, castagnoli))
+	return append(f, payload...)
+}
+
+// sized fills r.Spec with a byte pattern so that r's frame is exactly n
+// bytes long.
+func sized(r Record, n int) Record {
+	for l := n - frameHeaderSize - 1; l >= 0; l-- {
+		r.Spec = make([]byte, l)
+		for j := range r.Spec {
+			r.Spec[j] = byte(j * 7)
+		}
+		if len(frameOf(&r)) == n {
+			return r
+		}
+	}
+	panic("no record frame of that size")
+}
+
+// TestWALReadBufferBoundaries: the WAL scan reads through a readBufBytes
+// buffer, and frames that straddle its boundary — header or payload —
+// or exceed it altogether load intact; torn or corrupt ones truncate at
+// the start of the frame, exactly where an unbuffered scan truncates.
+func TestWALReadBufferBoundaries(t *testing.T) {
+	const B = readBufBytes
+	type layout struct {
+		name string
+		// frames lists frame sizes after the segment header; the first
+		// is a padding record.
+		frames []int
+		// cut truncates the file at this offset (0 = keep); flip
+		// corrupts the byte at this offset (0 = none).
+		cut, flip int64
+		// keep is how many records survive.
+		keep int
+	}
+	pad := func(start int) int { return start - walHeaderSize }
+	big := 3 << 20 // a multi-MB merge delta, larger than the buffer
+	cases := []layout{
+		{name: "header straddles, intact", frames: []int{pad(B - 3), 100, 50}, keep: 3},
+		{name: "header straddles, torn", frames: []int{pad(B - 3), 100, 50}, cut: B + 2, keep: 1},
+		{name: "payload straddles, intact", frames: []int{pad(B - 40), 100, 50}, keep: 3},
+		{name: "payload straddles, torn", frames: []int{pad(B - 40), 100, 50}, cut: B + 30, keep: 1},
+		{name: "payload straddles, corrupt", frames: []int{pad(B - 40), 100, 50}, flip: B + 10, keep: 1},
+		{name: "larger than the buffer, intact", frames: []int{100, big, 50}, keep: 3},
+		{name: "larger than the buffer, torn", frames: []int{100, big, 50}, cut: 116 + int64(big)/2, keep: 1},
+		{name: "larger than the buffer, corrupt", frames: []int{100, big, 50}, flip: 116 + int64(B) + 5, keep: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []Record
+			seg := binary.LittleEndian.AppendUint64([]byte(walMagic), 1)
+			ends := []int64{int64(len(seg))}
+			for i, n := range tc.frames {
+				r := sized(Record{Type: RecTenantCreate, Tenant: "a"}, n)
+				if n == big {
+					r = sized(Record{Type: RecMergeDelta, Tenant: "a", User: "node-1", Seq: 9}, n)
+				}
+				r.LSN = uint64(i + 1)
+				want = append(want, r)
+				seg = append(seg, frameOf(&r)...)
+				ends = append(ends, int64(len(seg)))
+			}
+			if tc.flip > 0 {
+				seg[tc.flip] ^= 0xff
+			}
+			if tc.cut > 0 {
+				seg = seg[:tc.cut]
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(segPath(dir, 1), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec := mustLoad(t, openTest(t, dir, Options{Sync: SyncOS}))
+			if torn := tc.keep < len(want); rec.Torn != torn {
+				t.Fatalf("torn = %v, want %v (%v)", rec.Torn, torn, rec.Warnings)
+			}
+			if len(rec.Records) != tc.keep {
+				t.Fatalf("recovered %d records, want %d", len(rec.Records), tc.keep)
+			}
+			for i := range rec.Records {
+				if !recordsEqual(&rec.Records[i], &want[i]) {
+					t.Fatalf("record %d differs after the scan", i)
+				}
+			}
+			fi, err := os.Stat(segPath(dir, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != ends[tc.keep] {
+				t.Fatalf("segment truncated to %d bytes, want %d (end of the last intact frame)", fi.Size(), ends[tc.keep])
+			}
+		})
 	}
 }

@@ -7,8 +7,8 @@ import (
 // EpochDelta is one sealed epoch exported for the merge plane: the
 // tenant's per-group bucket counts and report totals, the per-stripe
 // value sums, and the current cumulative budget spend of the users the
-// node charged since its previous seal (the whole ledger after a hook
-// install or ResendLedger). It is the decoded form of a wirebin delta
+// node charged since its previous seal (plus a chunk of the whole
+// ledger while a sweep after a hook install or ResendLedger runs). It is the decoded form of a wirebin delta
 // frame — a node's seal hook fills Node and ships
 // wirebin.EncodeDelta(d); the coordinator merges decoded deltas from
 // many nodes into the same epochHist shape a single-node seal would have
@@ -40,10 +40,11 @@ func StripeOf(user string, shards int) int {
 //
 // While a hook is installed the tenant records which users each epoch
 // charges, and a delta's Spend holds only those users (sorted, with
-// their cumulative spend). The first seal after fn is installed ships
-// the whole ledger instead: charges made before the install — including
-// everything a recovery replayed — were not recorded. Call
-// ResendLedger when a delta fails to merge.
+// their cumulative spend). Installing fn also starts a ledger sweep:
+// charges made before the install — including everything a recovery
+// replayed — were not recorded, so the deltas from the next seal on
+// carry the whole ledger as well, in frame-sized sorted chunks (see
+// ResendLedger, which a node calls when a delta fails to merge).
 func (t *Tenant) SetSealHook(fn func(*EpochDelta)) {
 	t.mu.Lock()
 	t.onSeal = fn

@@ -123,7 +123,6 @@ type RecoveryReport struct {
 // lifetime — closing the store is still the caller's job).
 func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 	reg := NewRegistry()
-	reg.st = st
 	rep := &RecoveryReport{}
 	rec, err := st.Replay(func(snap *store.Snapshot) {
 		if snap == nil {
@@ -136,7 +135,6 @@ func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 				rep.Warnings = append(rep.Warnings, err.Error())
 				continue
 			}
-			t.st = st
 			rep.SpendBefore += t.acct.TotalSpent()
 			reg.tenants[t.name] = t
 		}
@@ -149,6 +147,12 @@ func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 	}
 	rep.Torn = rec.Torn
 	rep.Warnings = append(rec.Warnings, rep.Warnings...)
+	// Attach the store only now: replay never appends, and the store
+	// stays locked while Replay runs.
+	reg.st = st
+	for _, t := range reg.tenants {
+		t.st = st
+	}
 	// Sum the ledgers in sorted tenant order: map iteration order varies
 	// run to run and float addition is not associative, so an unordered
 	// sum could make the monotonicity gate below flicker across otherwise
@@ -207,7 +211,6 @@ func replayRecord(reg *Registry, rep *RecoveryReport, r *store.Record) {
 				fmt.Sprintf("tenant %s create at LSN %d: %v", r.Tenant, r.LSN, err))
 			return
 		}
-		t.st = reg.st
 		t.walStart = r.LSN + 1
 		t.acctFrom = r.LSN + 1
 		reg.tenants[r.Tenant] = t

@@ -465,3 +465,100 @@ func TestConcurrentIngestRecoversBitIdentical(t *testing.T) {
 			got.Result, want.Result)
 	}
 }
+
+// TestRecoverKeepsGroupBindings: a user's group binding lives in its
+// ledger row and survives recovery from the WAL alone and from a
+// snapshot plus WAL tail, whether a first report or a zero-spend Join
+// made it. Join-only users hold no ledger entry (Export, Users,
+// dap_privacy_reporters), and a charge refunded after a failed WAL
+// append keeps its binding without leaving one.
+func TestRecoverKeepsGroupBindings(t *testing.T) {
+	for _, withSnap := range []bool{false, true} {
+		name := "wal-only"
+		if withSnap {
+			name = "snapshot+wal"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			flaky := store.NewFlaky(nil)
+			reg, st, _ := openDurable(t, dir, flaky)
+			tn, err := reg.CreateSpec("t", durableSpec(stream.Tumbling))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := len(tn.Groups())
+			one := []float64{0}
+			// Bindings made before the cut (the snapshot, when taken) and
+			// after it (WAL tail only).
+			if err := tn.Ingest("early", 1, one); err != nil {
+				t.Fatal(err)
+			}
+			joinedEarly, gEarly := tn.Join()
+			if withSnap {
+				if err := reg.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tn.Ingest("late", 2, one); err != nil {
+				t.Fatal(err)
+			}
+			joinedLate, gLate := tn.Join()
+
+			// A charge refunded after a failed append: binding kept, no
+			// ledger entry.
+			flaky.FailWrites(1, false, true)
+			if err := tn.Ingest("refunded", 0, one); !errors.Is(err, stream.ErrStoreDown) {
+				t.Fatalf("ingest with the store down: %v, want ErrStoreDown", err)
+			}
+			flaky.Heal()
+			if err := tn.Ingest("refunded", 1, one); !errors.Is(err, stream.ErrWrongGroup) {
+				t.Fatalf("refunded user reporting for another group: %v, want ErrWrongGroup", err)
+			}
+			if _, ok := tn.Accountant().Export()["refunded"]; ok {
+				t.Fatal("refunded charge left a ledger entry")
+			}
+			checkLedger := func(tn *stream.Tenant, reg *stream.Registry) {
+				t.Helper()
+				ledger := tn.Accountant().Export()
+				if len(ledger) != 2 || ledger["early"] == 0 || ledger["late"] == 0 {
+					t.Fatalf("ledger %v, want exactly the two reporters", ledger)
+				}
+				if n := tn.Accountant().Users(); n != 2 {
+					t.Fatalf("Users() = %d, want 2 (join-only users hold no entry)", n)
+				}
+				reg.SyncMetrics()
+				if n := scrapeDefault(t).Value("dap_privacy_reporters", map[string]string{"tenant": "t"}); n != 2 {
+					t.Fatalf("dap_privacy_reporters = %v, want 2", n)
+				}
+			}
+			checkLedger(tn, reg)
+
+			// kill -9: no final snapshot, the WAL (and the snapshot, when
+			// taken) is all that survives.
+			for _, tn := range reg.List() {
+				tn.Stop()
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reg, st, _ = openDurable(t, dir, nil)
+			defer st.Close()
+			tn, ok := reg.Get("t")
+			if !ok {
+				t.Fatal("tenant not recovered")
+			}
+			checkLedger(tn, reg)
+			for user, g := range map[string]int{
+				"early": 1, "late": 2, joinedEarly: gEarly.Index, joinedLate: gLate.Index,
+			} {
+				other := (g + 1) % h
+				if err := tn.Ingest(user, other, one); !errors.Is(err, stream.ErrWrongGroup) {
+					t.Errorf("recovered %s (group %d) reporting for group %d: %v, want ErrWrongGroup", user, g, other, err)
+				}
+				if err := tn.Ingest(user, g, one); err != nil {
+					t.Errorf("recovered %s reporting for its own group %d: %v", user, g, err)
+				}
+			}
+		})
+	}
+}

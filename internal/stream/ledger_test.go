@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -315,5 +316,109 @@ func TestLedgerHealsAfterDroppedDelta(t *testing.T) {
 	}
 	if got, want := ledgerBits(ledger), ledgerBits(ref.Accountant().Export()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("healed ledger differs from the single-node reference: %d vs %d users", len(got), len(want))
+	}
+}
+
+// TestLedgerSweepChunksLargeLedger: a node ledger larger than one delta
+// frame ships in sorted chunks over successive seals, each delta
+// encodable. Users charged mid-sweep ride along; a delta lost mid-sweep
+// plus ResendLedger restarts the sweep; once it wraps, the coordinator's
+// max-merged ledger equals the node's and deltas carry only the charged
+// users again.
+func TestLedgerSweepChunksLargeLedger(t *testing.T) {
+	cfg, err := ConfigFromSpec(coordSpec(Tumbling))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := NewTenant("t", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCoordinator(CoordinatorConfig{Nodes: []string{"a"}, Straggler: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddTenantSpec("t", coordSpec(Tumbling)); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1000, 0)
+	c.now = func() time.Time { return now }
+
+	// 200-byte ids: 100k users are about 21 MB of delta entries, more
+	// than one frame holds.
+	const users = 100_000
+	id := func(i int) string { return fmt.Sprintf("%0200d", i) }
+	if users*(200+10) <= wirebin.MaxDeltaBytes {
+		t.Fatal("the ledger fits one frame; the test exercises no chunking")
+	}
+	ledger := make(map[string]float64, users)
+	for i := 0; i < users; i++ {
+		ledger[id(i)] = 0.25
+	}
+	tn.acct.Import(ledger)
+	var d *EpochDelta
+	tn.SetSealHook(func(x *EpochDelta) { x.Node = "a"; d = x })
+	// seal rotates the node and encodes its delta; merge also applies it
+	// and lets the coordinator publish past any gap.
+	seal := func(merge bool) map[string]uint64 {
+		t.Helper()
+		_, _ = tn.Rotate()
+		frame, err := wirebin.EncodeDelta(d)
+		if err != nil {
+			t.Fatalf("delta of epoch %d (%d spends) does not encode: %v", d.Epoch, len(d.Spend), err)
+		}
+		if merge {
+			if res, err := c.Apply(frame); err != nil || res.Status != "merged" {
+				t.Fatalf("apply epoch %d: %+v, %v", d.Epoch, res, err)
+			}
+			now = now.Add(2 * time.Minute)
+			c.Tick()
+		}
+		return spendOf(t, d)
+	}
+	last := len(tn.groups) - 1
+	charge := func(user string, g int, vals []float64) {
+		t.Helper()
+		if err := tn.Ingest(user, g, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first := seal(true)
+	if len(first) == 0 || len(first) == users {
+		t.Fatalf("first sweep delta ships %d of %d users, want one chunk", len(first), users)
+	}
+	// Epoch 2 charges a swept user, an unswept one and a new one, and
+	// its delta is lost.
+	charge(id(0), last, []float64{0})
+	charge(id(users-1), last, []float64{0})
+	charge("new", 0, make([]float64, tn.groups[0].Reports))
+	got := seal(false)
+	for _, u := range []string{id(0), id(users - 1), "new"} {
+		if _, ok := got[u]; !ok {
+			t.Fatalf("mid-sweep delta lacks charged user %.12s…", u)
+		}
+	}
+	tn.ResendLedger()
+	deltas := 0
+	for tn.sweeping || deltas == 0 {
+		if deltas++; deltas > 20 {
+			t.Fatal("sweep did not wrap in 20 seals")
+		}
+		seal(true)
+	}
+	if deltas < 2 {
+		t.Fatalf("restarted sweep took %d delta(s), want several chunks", deltas)
+	}
+	merged, err := c.Ledger("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ledgerBits(merged), ledgerBits(tn.Accountant().Export()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("coordinator ledger after the sweep: %d users, want the node's %d", len(got), len(want))
+	}
+	charge(id(7), last, []float64{0})
+	if got, want := seal(true), spendsOf(tn, id(7)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("delta after the sweep ships %d users, want only the charged one", len(got))
 	}
 }

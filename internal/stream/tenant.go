@@ -121,10 +121,13 @@ type Tenant struct {
 	// is set, ingest records each charged user on its live stripe
 	// (shard.touched) and the seal ships only those users' spends.
 	onSeal func(*EpochDelta)
-	// fullLedger makes the next seal ship the whole ledger instead of the
-	// users charged since the previous seal (see SetSealHook and
-	// ResendLedger).
+	// fullLedger makes the next seal start a ledger sweep (see SetSealHook
+	// and ResendLedger). While sweeping (guarded by mu), each seal's delta
+	// also carries the next chunk of the sorted ledger after sweepFrom,
+	// the last user the previous chunk shipped.
 	fullLedger atomic.Bool
+	sweeping   bool
+	sweepFrom  string
 
 	// rotateMu serializes rotations end to end (WAL append + seal +
 	// estimate), so TryRotate can report an in-flight rotation.
@@ -648,19 +651,19 @@ func (t *Tenant) sealLocked() *EpochDelta {
 
 // sealSpendLocked returns the delta's spend entries, sorted by user: the
 // current cumulative spend of every user the live stripes charged since
-// the previous seal, or of every user in the ledger when a full ledger
-// is due (a hook was just installed or ResendLedger was called). The
-// coordinator's per-user max-merge rebuilds the same ledger from either.
-// Caller holds t.mu exclusively, before the live epoch is replaced.
+// the previous seal and, while a ledger sweep runs, of the sweep's next
+// chunk of the ledger (see ledgerChunkLocked). The coordinator's
+// per-user max-merge rebuilds the same ledger from either. Caller holds
+// t.mu exclusively, before the live epoch is replaced.
 func (t *Tenant) sealSpendLocked() []wirebin.SpendEntry {
 	if t.fullLedger.Swap(false) {
-		ledger := t.acct.Export()
-		spend := make([]wirebin.SpendEntry, 0, len(ledger))
-		for u, eps := range ledger {
-			spend = append(spend, wirebin.SpendEntry{User: u, Eps: eps})
-		}
-		slices.SortFunc(spend, func(a, b wirebin.SpendEntry) int { return strings.Compare(a.User, b.User) })
-		return spend
+		// (Re)start the sweep: a delta lost mid-sweep may have carried
+		// any chunk so far.
+		t.sweeping, t.sweepFrom = true, ""
+	}
+	var chunk []wirebin.SpendEntry
+	if t.sweeping {
+		chunk = t.ledgerChunkLocked()
 	}
 	n := 0
 	for _, s := range t.live {
@@ -676,8 +679,18 @@ func (t *Tenant) sealSpendLocked() []wirebin.SpendEntry {
 	}
 	slices.Sort(users)
 	users = slices.Compact(users)
-	spend := make([]wirebin.SpendEntry, 0, len(users))
+	// Merge the two sorted lists; a user in both ships once (the chunk
+	// read the same ledger: no ingest interleaves under t.mu).
+	spend := make([]wirebin.SpendEntry, 0, len(chunk)+len(users))
+	i := 0
 	for _, u := range users {
+		for i < len(chunk) && chunk[i].User < u {
+			spend = append(spend, chunk[i])
+			i++
+		}
+		if i < len(chunk) && chunk[i].User == u {
+			continue
+		}
 		// Users are recorded only once their charge is durable, so a
 		// refunded charge is never listed; the guard still keeps a zero
 		// spend, which the max-merge ignores, off the wire.
@@ -685,15 +698,52 @@ func (t *Tenant) sealSpendLocked() []wirebin.SpendEntry {
 			spend = append(spend, wirebin.SpendEntry{User: u, Eps: eps})
 		}
 	}
-	return spend
+	return append(spend, chunk[i:]...)
 }
 
-// ResendLedger makes the tenant's next seal ship its whole cumulative
-// budget ledger instead of the users charged since the previous seal. A
-// node calls it when a delta did not merge — dropped before sending,
-// failed to encode or push, or answered late — so the users that delta
-// carried reach the coordinator with the next one. Safe to call from
-// any goroutine, including a seal hook.
+// ledgerChunkBytes bounds the wire size of one ledger-sweep chunk, a
+// quarter of a delta frame: a whole ledger of more than about 620k
+// users (17-byte ids) does not fit one frame, and the rest of the frame
+// stays free for the histograms and the epoch's charged users.
+const ledgerChunkBytes = wirebin.MaxDeltaBytes / 4
+
+// ledgerChunkLocked returns the sweep's next chunk: the ledger's users
+// after sweepFrom in sorted order, with their current spends, up to
+// ledgerChunkBytes of delta entries (and a quarter of MaxDeltaSpends).
+// The chunk that reaches the end of the ledger ends the sweep. Users
+// charged after the sweep passed them are shipped as charged users, so
+// the sweep's deltas together carry the whole ledger. Caller holds t.mu
+// exclusively.
+func (t *Tenant) ledgerChunkLocked() []wirebin.SpendEntry {
+	rest := make([]wirebin.SpendEntry, 0, t.acct.Users())
+	for u, eps := range t.acct.Export() {
+		if u > t.sweepFrom {
+			rest = append(rest, wirebin.SpendEntry{User: u, Eps: eps})
+		}
+	}
+	slices.SortFunc(rest, func(a, b wirebin.SpendEntry) int { return strings.Compare(a.User, b.User) })
+	size := 0
+	for i, e := range rest {
+		// Entry wire size: uvarint length (≤ 2 bytes for any id a wire
+		// accepts), the id, 8 bytes of spend.
+		size += len(e.User) + 10
+		if i > 0 && (size > ledgerChunkBytes || i == wirebin.MaxDeltaSpends/4) {
+			t.sweepFrom = rest[i-1].User
+			return rest[:i]
+		}
+	}
+	t.sweeping = false
+	return rest
+}
+
+// ResendLedger makes the tenant's deltas ship its whole cumulative budget
+// ledger again, on top of the users each seal charged: from the next
+// seal on, in sorted chunks of at most ledgerChunkBytes per delta until
+// the sweep reaches the end of the ledger (a sweep already running
+// restarts). A node calls it when a delta did not merge — dropped
+// before sending, failed to encode or push, or answered late — so the
+// users that delta carried reach the coordinator again. Safe to call
+// from any goroutine, including a seal hook.
 func (t *Tenant) ResendLedger() { t.fullLedger.Store(true) }
 
 // replaySeal re-applies a logged rotation during recovery: seal only, no

@@ -12,7 +12,8 @@ import (
 // A delta frame carries one node's sealed epoch for one tenant to the
 // coordinator: the per-group bucket counts and report totals, the
 // per-stripe value sums, and per-user cumulative budget spends (the
-// users the node charged since its previous delta, or its whole ledger).
+// users the node charged since its previous delta, plus a chunk of its
+// whole ledger while the node re-ships it).
 // Deltas reuse the ingest frame's engineering (little-endian
 // fixed header, uvarint packing, CRC-32C trailer) under a distinct
 // magic ("DAPD" vs "DAPF") so the two decoders never confuse each
@@ -59,7 +60,8 @@ const DeltaContentType = "application/x-dap-delta"
 // Delta frame limits. Deltas are coordinator-to-node traffic on the
 // lossless HTTP wire only, so the size cap is generous compared to
 // ingest frames: the spend list grows with the users a node charges in
-// one epoch (about 620k at 17-byte ids fit in MaxDeltaBytes).
+// one epoch (about 620k at 17-byte ids fit in MaxDeltaBytes); a node
+// re-ships a larger ledger in chunks over several deltas.
 const (
 	// MaxDeltaBytes caps a whole encoded delta frame.
 	MaxDeltaBytes = 16 << 20
@@ -95,9 +97,10 @@ type SpendEntry struct {
 // coordinator can re-fold stripes in index order and reproduce the
 // single-node sum bit-for-bit. Spend holds per-user cumulative budget
 // spends, sorted by user: a node's seal lists the users it charged since
-// its previous seal, or its whole ledger after a hook install or a
-// resend. The coordinator max-merges spends per user, so either form
-// rebuilds the same ledger.
+// its previous seal, plus the next chunk of its whole ledger while it
+// re-ships that after a hook install or a resend. The coordinator
+// max-merges spends per user, so any such split rebuilds the same
+// ledger.
 type Delta struct {
 	Node   string
 	Tenant string
