@@ -3,9 +3,9 @@
 // composition (budgets of repeated reports on the same value add up) and
 // the per-user cap ε. The simulator uses it to assert that every user —
 // whichever group they land in — spends exactly the advertised budget; the
-// streaming collector consults it on every ingested report, so the ledger
-// is striped by user hash to keep concurrent spends from serializing on
-// one lock.
+// streaming collector consults it on every ingested report, binding the
+// user to its group in the same ledger row, so the ledger is striped by
+// user hash to keep concurrent spends from serializing on one lock.
 package privacy
 
 import (
@@ -55,22 +55,19 @@ type ledgerStripe struct {
 	_        [40]byte
 }
 
-// add moves row e of user id by total (either sign) and stores it,
-// keeping the spender count in step. A row that drops to zero keeps its
-// binding; an unbound one disappears. Caller holds p.mu.
-func (p *ledgerStripe) add(id string, e entry, total float64) {
-	was := e.spent > 0
-	e.spent += total
-	if e.spent <= 0 {
-		e.spent = 0
-	}
-	switch now := e.spent > 0; {
-	case now && !was:
+// set stores row e of user id with its spend replaced by spent (clamped
+// at zero), keeping the spender count in step. A row that drops to zero
+// keeps its binding; an unbound one disappears. Caller holds p.mu.
+func (p *ledgerStripe) set(id string, e entry, spent float64) {
+	spent = max(spent, 0)
+	switch {
+	case spent > 0 && e.spent == 0:
 		p.spenders++
-	case was && !now:
+	case spent == 0 && e.spent > 0:
 		p.spenders--
 	}
-	if e.spent == 0 && e.group == 0 {
+	e.spent = spent
+	if spent == 0 && e.group == 0 {
 		delete(p.rows, id)
 		return
 	}
@@ -143,7 +140,7 @@ func (a *Accountant) SpendN(id string, eps float64, n int) error {
 		return fmt.Errorf("%w: user %s at %.6g of %.6g, requested %.6g",
 			ErrBudgetExceeded, id, e.spent, a.cap, total)
 	}
-	p.add(id, e, total)
+	p.set(id, e, e.spent+total)
 	return nil
 }
 
@@ -168,7 +165,7 @@ func (a *Accountant) BindSpendN(id string, group int, eps float64, n int) error 
 			ErrBudgetExceeded, id, e.spent, a.cap, total)
 	}
 	e.group = int32(group) + 1
-	p.add(id, e, total)
+	p.set(id, e, e.spent+total)
 	return nil
 }
 
@@ -185,7 +182,7 @@ func (a *Accountant) ForceBindSpendN(id string, group int, eps float64, n int) {
 	if e.group == 0 {
 		e.group = int32(group) + 1
 	}
-	p.add(id, e, eps*float64(n))
+	p.set(id, e, e.spent+eps*float64(n))
 	p.mu.Unlock()
 }
 
@@ -199,15 +196,6 @@ func (a *Accountant) Bind(id string, group int) {
 	e.group = int32(group) + 1
 	p.rows[id] = e
 	p.mu.Unlock()
-}
-
-// Group returns user id's bound group, ok = false when unbound.
-func (a *Accountant) Group(id string) (group int, ok bool) {
-	p := a.stripe(id)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e := p.rows[id]
-	return int(e.group) - 1, e.group != 0
 }
 
 // Spent returns the budget consumed by user id so far.
@@ -235,7 +223,7 @@ func (a *Accountant) Refund(id string, eps float64, n int) {
 	p := a.stripe(id)
 	p.mu.Lock()
 	if e, ok := p.rows[id]; ok {
-		p.add(id, e, -eps*float64(n))
+		p.set(id, e, e.spent-eps*float64(n))
 	}
 	p.mu.Unlock()
 }
@@ -266,7 +254,7 @@ func (a *Accountant) Import(m map[string]float64) {
 		p := a.stripe(id)
 		p.mu.Lock()
 		e := p.rows[id]
-		p.add(id, e, v-e.spent)
+		p.set(id, e, v)
 		p.mu.Unlock()
 	}
 }

@@ -167,3 +167,58 @@ func TestCap(t *testing.T) {
 		t.Fatal("Cap broken")
 	}
 }
+
+// TestBindSpendNOneRow: the ledger row holds the group binding next to
+// the spend. A first charge binds, another group is rejected without
+// changing anything, a join-only or refunded row is a binding but no
+// ledger entry, and the replay form keeps bindings and skips the cap.
+func TestBindSpendNOneRow(t *testing.T) {
+	a, _ := NewAccountant(1)
+	if err := a.BindSpendN("u", 2, 0.25, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.BindSpendN("u", 1, 0.25, 1); !errors.Is(err, ErrWrongGroup) {
+		t.Fatalf("charge for another group: %v, want ErrWrongGroup", err)
+	}
+	if err := a.BindSpendN("u", 2, 0.5, 2); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("over-cap charge: %v, want ErrBudgetExceeded", err)
+	}
+	if got := a.Spent("u"); got != 0.25 {
+		t.Fatalf("rejected charges changed the spend to %v", got)
+	}
+
+	a.Bind("joined", 0)
+	a.Refund("u", 0.25, 1)
+	if a.Users() != 0 || len(a.Export()) != 0 || a.TotalSpent() != 0 {
+		t.Fatalf("bindings without spend count as ledger entries: users %d, export %v", a.Users(), a.Export())
+	}
+	if got := a.ExportGroups(); len(got) != 2 || got["u"] != 2 || got["joined"] != 0 {
+		t.Fatalf("ExportGroups = %v, want u→2 and joined→0", got)
+	}
+	if err := a.BindSpendN("u", 0, 0.25, 1); !errors.Is(err, ErrWrongGroup) {
+		t.Fatalf("refunded user charging another group: %v, want ErrWrongGroup", err)
+	}
+
+	// Replay: an existing binding stands, the cap is not re-asked, and
+	// n = 0 binds only.
+	a.ForceBindSpendN("joined", 1, 0.75, 2)
+	a.ForceBindSpendN("fresh", 1, 0.25, 0)
+	if got := a.Spent("joined"); got != 1.5 {
+		t.Fatalf("forced spend = %v, want 1.5", got)
+	}
+	if got := a.ExportGroups(); got["joined"] != 0 || got["fresh"] != 1 {
+		t.Fatalf("ExportGroups after replay = %v", got)
+	}
+	if a.Users() != 1 {
+		t.Fatalf("Users() = %d, want 1", a.Users())
+	}
+
+	// A SpendN row has no binding: refunded to zero it disappears.
+	if err := a.SpendN("plain", 0.5, 1); err != nil {
+		t.Fatal(err)
+	}
+	a.Refund("plain", 0.5, 1)
+	if _, ok := a.ExportGroups()["plain"]; ok || a.Users() != 1 {
+		t.Fatal("refunded unbound row survived")
+	}
+}

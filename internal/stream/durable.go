@@ -27,9 +27,9 @@ import (
 // snapshot's accountant ledger and join counter stop being authoritative:
 // charges and joins at or beyond it replay into the accountant — with
 // ForceBindSpendN, not BindSpendN, because every logged record was
-// already admitted under the cap. Records between walStart and acctFrom therefore
-// rebuild histograms without re-charging: the snapshot cut happened
-// mid-epoch and its ledger already reflects them.
+// already admitted under the cap. Records between walStart and acctFrom
+// therefore rebuild histograms (and bindings) without re-charging: the
+// snapshot cut happened mid-epoch and its ledger already reflects them.
 
 // snapshotCut builds the tenant's durable image at a consistent cut: the
 // exclusive tenant lock quiesces ingest (whose charge→append→apply runs
@@ -118,9 +118,10 @@ type RecoveryReport struct {
 // Recover loads the durable state under st (which must be freshly opened
 // and not yet loaded) and rebuilds a running registry from it: newest
 // verifiable snapshot first, then the WAL tail replayed over it in LSN
-// order. Tenant epoch clocks are started after replay. The returned
-// registry owns st for future appends and snapshots (but not its
-// lifetime — closing the store is still the caller's job).
+// order, record by record as the store scan decodes it. Tenant epoch
+// clocks are started after replay. The returned registry owns st for
+// future appends and snapshots (but not its lifetime — closing the store
+// is still the caller's job).
 func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 	reg := NewRegistry()
 	rep := &RecoveryReport{}
