@@ -98,7 +98,7 @@ type RecoveryReport struct {
 	// SnapshotLSN is the cut position of the snapshot recovery started
 	// from, 0 when it replayed from an empty state.
 	SnapshotLSN uint64
-	// Records is how many intact WAL records the store returned; Applied
+	// Records is how many intact WAL records the store replayed; Applied
 	// is how many changed tenant state (the rest predate snapshot cuts or
 	// belong to deleted tenants).
 	Records, Applied int

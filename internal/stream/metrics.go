@@ -115,6 +115,6 @@ func (r *Registry) SyncMetrics() {
 		metReporters.With(t.name).Set(float64(users))
 	}
 	if r.st != nil {
-		r.st.SyncMetrics() //dapvet:lockorder-ok r.st is attached only after Store.Load returned, so recovery no longer holds the store mutex
+		r.st.SyncMetrics() //dapvet:lockorder-ok r.st is attached only after Store.Replay returned, so recovery no longer holds the store mutex
 	}
 }
