@@ -178,12 +178,15 @@ func (a *Accountant) BindSpendN(id string, group int, eps float64, n int) error 
 func (a *Accountant) ForceBindSpendN(id string, group int, eps float64, n int) {
 	p := a.stripe(id)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	e := p.rows[id]
+	if e.group != 0 && n == 0 {
+		return // bound already, nothing to charge: no map write
+	}
 	if e.group == 0 {
 		e.group = int32(group) + 1
 	}
 	p.set(id, e, e.spent+eps*float64(n))
-	p.mu.Unlock()
 }
 
 // Bind records group as user id's binding, replacing any previous one
@@ -229,7 +232,7 @@ func (a *Accountant) Refund(id string, eps float64, n int) {
 }
 
 // Export copies the ledger: per-user consumed budget of every user with
-// a positive spend. Snapshots persist it and Import restores it.
+// a positive spend. Snapshots persist it and Restore restores it.
 func (a *Accountant) Export() map[string]float64 {
 	out := make(map[string]float64, a.Users())
 	for i := range a.part {
@@ -245,22 +248,46 @@ func (a *Accountant) Export() map[string]float64 {
 	return out
 }
 
-// Import replaces users' spends with the exported ledger m, keeping
-// their bindings. Entries for users not in m are left untouched
-// (recovery imports into a fresh accountant, so in practice this is a
-// full restore).
-func (a *Accountant) Import(m map[string]float64) {
-	for id, v := range m {
+// Restore installs an exported ledger (Export) and bindings
+// (ExportGroups) into an empty accountant, one row per user. Each
+// stripe's map is sized for its share of the users up front, so a
+// recovery restoring millions of users never rehashes.
+func (a *Accountant) Restore(spent map[string]float64, groups map[string]int) {
+	n := max(len(spent), len(groups)) / stripes
+	for i := range a.part {
+		p := &a.part[i]
+		p.mu.Lock()
+		// Headroom for the hash's spread over stripes (σ ≈ √n).
+		p.rows = make(map[string]entry, n+n/16+64)
+		p.spenders = 0
+		p.mu.Unlock()
+	}
+	bound := 0 // spenders among the bound users
+	for id, g := range groups {
 		p := a.stripe(id)
 		p.mu.Lock()
-		e := p.rows[id]
-		p.set(id, e, v)
+		v, ok := spent[id]
+		p.set(id, entry{group: int32(g) + 1}, v)
 		p.mu.Unlock()
+		if ok {
+			bound++
+		}
+	}
+	if bound == len(spent) {
+		return
+	}
+	for id, v := range spent {
+		if _, ok := groups[id]; !ok {
+			p := a.stripe(id)
+			p.mu.Lock()
+			p.set(id, entry{}, v)
+			p.mu.Unlock()
+		}
 	}
 }
 
 // ExportGroups copies every group binding, including those of users who
-// joined but never spent. Snapshots persist it and Bind restores it.
+// joined but never spent. Snapshots persist it and Restore restores it.
 func (a *Accountant) ExportGroups() map[string]int {
 	out := make(map[string]int)
 	for i := range a.part {

@@ -2,6 +2,8 @@ package privacy
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -220,5 +222,32 @@ func TestBindSpendNOneRow(t *testing.T) {
 	a.Refund("plain", 0.5, 1)
 	if _, ok := a.ExportGroups()["plain"]; ok || a.Users() != 1 {
 		t.Fatal("refunded unbound row survived")
+	}
+}
+
+// TestRestoreRoundTrip: Export + ExportGroups restored into a fresh
+// accountant give back the same ledger, bindings and spender count,
+// including join-only and unbound rows.
+func TestRestoreRoundTrip(t *testing.T) {
+	a, _ := NewAccountant(1)
+	for i := 0; i < 300; i++ {
+		if err := a.BindSpendN(fmt.Sprintf("u%d", i), i%3, 0.1, 1+i%3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Bind("joined", 2)
+	if err := a.SpendN("unbound", 0.3, 1); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := NewAccountant(1)
+	b.Restore(a.Export(), a.ExportGroups())
+	if !reflect.DeepEqual(b.Export(), a.Export()) || !reflect.DeepEqual(b.ExportGroups(), a.ExportGroups()) {
+		t.Fatal("restored ledger or bindings differ")
+	}
+	if b.Users() != 301 {
+		t.Fatalf("restored Users() = %d, want 301", b.Users())
+	}
+	if err := b.BindSpendN("joined", 0, 0.1, 1); !errors.Is(err, ErrWrongGroup) {
+		t.Fatalf("restored join binding: %v, want ErrWrongGroup", err)
 	}
 }

@@ -83,10 +83,7 @@ func restoreTenant(ts *store.TenantSnap) (*Tenant, error) {
 	for _, ep := range ts.Epochs {
 		t.sealed = append(t.sealed, epochHist{counts: ep.Counts, sums: ep.Sums, ns: ep.Ns})
 	}
-	for user, g := range ts.Users {
-		t.acct.Bind(user, g)
-	}
-	t.acct.Import(ts.Spend)
+	t.acct.Restore(ts.Spend, ts.Users)
 	t.joined = ts.Joined
 	t.walStart = ts.StartLSN
 	t.acctFrom = ts.AcctLSN

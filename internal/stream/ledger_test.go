@@ -355,7 +355,7 @@ func TestLedgerSweepChunksLargeLedger(t *testing.T) {
 	for i := 0; i < users; i++ {
 		ledger[id(i)] = 0.25
 	}
-	tn.acct.Import(ledger)
+	tn.acct.Restore(ledger, nil)
 	var d *EpochDelta
 	tn.SetSealHook(func(x *EpochDelta) { x.Node = "a"; d = x })
 	// seal rotates the node and encodes its delta; merge also applies it

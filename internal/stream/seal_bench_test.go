@@ -54,7 +54,7 @@ func newSealNode(b *testing.B, prefix string) *sealNode {
 		n.active = append(n.active, u)
 		n.vals = append(n.vals, []float64{float64(i%5-2) / 10})
 	}
-	t.acct.Import(ledger)
+	t.acct.Restore(ledger, nil)
 	t.SetSealHook(func(*EpochDelta) {})
 	n.charge(b)
 	n.first = n.seal()
