@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"log/slog"
 	"path/filepath"
 	"strconv"
@@ -211,10 +210,11 @@ func (s *Store) Load() (*Recovery, error) {
 // the newest verifiable snapshot is picked it is passed to onSnapshot
 // (nil when there is none); then every intact WAL record is passed to
 // onRecord, LSN ascending, as it is decoded — one record in memory at a
-// time, however long the log. The *Record, its Values and the strings
-// it shares with the previous record are reused for the next one, so
-// onRecord must copy what it keeps beyond the call. Either callback may
-// be nil. Both run with the store locked and must not call the store.
+// time, however long the log. The *Record and its Values storage are
+// reused for the next record, so onRecord must copy the Record or its
+// Values to keep them beyond the call (its strings and Spec may be
+// kept). Either callback may be nil. Both run with the store locked and
+// must not call the store.
 func (s *Store) Replay(onSnapshot func(*Snapshot), onRecord func(*Record)) (*Recovery, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -420,12 +420,7 @@ func (s *Store) openBatch() (*walBatch, error) {
 
 // appendFrame frames one record onto the batch. Caller holds s.mu.
 func (s *Store) appendFrame(b *walBatch, r *Record) {
-	off := len(b.buf)
-	b.buf = append(b.buf, make([]byte, frameHeaderSize)...)
-	b.buf = encodeRecord(b.buf, r)
-	payload := b.buf[off+frameHeaderSize:]
-	binary.LittleEndian.PutUint32(b.buf[off:off+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b.buf[off+4:off+8], crc32.Checksum(payload, castagnoli))
+	b.buf = appendFramed(b.buf, r)
 }
 
 // commitBatch assigns n contiguous LSNs to the frames just enqueued and

@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -638,14 +637,6 @@ func TestFlakyLatency(t *testing.T) {
 	}
 }
 
-// frameOf frames one record the way the store's append path does.
-func frameOf(r *Record) []byte {
-	payload := encodeRecord(nil, r)
-	f := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(payload, castagnoli))
-	return append(f, payload...)
-}
-
 // sized fills r.Spec with a byte pattern so that r's frame is exactly n
 // bytes long.
 func sized(r Record, n int) Record {
@@ -654,7 +645,7 @@ func sized(r Record, n int) Record {
 		for j := range r.Spec {
 			r.Spec[j] = byte(j * 7)
 		}
-		if len(frameOf(&r)) == n {
+		if len(appendFramed(nil, &r)) == n {
 			return r
 		}
 	}
@@ -702,7 +693,7 @@ func TestWALReadBufferBoundaries(t *testing.T) {
 				}
 				r.LSN = uint64(i + 1)
 				want = append(want, r)
-				seg = append(seg, frameOf(&r)...)
+				seg = appendFramed(seg, &r)
 				ends = append(ends, int64(len(seg)))
 			}
 			if tc.flip > 0 {

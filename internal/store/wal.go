@@ -156,6 +156,17 @@ func encodeRecord(b []byte, r *Record) []byte {
 	return b
 }
 
+// appendFramed appends r as one frame (length, CRC, payload) to b.
+func appendFramed(b []byte, r *Record) []byte {
+	off := len(b)
+	b = append(b, make([]byte, frameHeaderSize)...)
+	b = encodeRecord(b, r)
+	payload := b[off+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(b[off:off+4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[off+4:off+8], crc32.Checksum(payload, castagnoli))
+	return b
+}
+
 // errCorrupt marks an undecodable payload (bad length, short buffer).
 var errCorrupt = errors.New("store: corrupt record")
 
