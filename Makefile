@@ -113,7 +113,7 @@ bench-smoke:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkEstimate|BenchmarkEStep|BenchmarkFig5Cell' -benchtime 1x . && \
 		$(GO) test -run xxx -bench 'BenchmarkSealDelta|BenchmarkCoordinatorApply|BenchmarkRecover|BenchmarkIngestBatchNewUsers' -benchtime 1x ./internal/stream); \
 	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
-	for b in BenchmarkEstimate 'BenchmarkEStep[[:alnum:]_]*' BenchmarkFig5Cell BenchmarkSealDelta BenchmarkCoordinatorApply \
+	for b in BenchmarkEstimate 'BenchmarkEStep[[:alnum:]_]*' BenchmarkFig5Cell BenchmarkSealDelta BenchmarkSealDeltaSweep BenchmarkCoordinatorApply \
 		BenchmarkRecover BenchmarkIngestBatchNewUsers; do \
 		echo "$$out" | grep -Eq "^$$b(-[0-9]+)?[[:space:]]+[0-9]+[[:space:]]" || \
 			{ echo "bench-smoke: no result line for $$b"; exit 1; }; \

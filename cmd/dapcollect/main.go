@@ -315,8 +315,8 @@ func splitNodes(s string) []string {
 // seal only, so whenever one does not merge — dropped here, not
 // encodable, not delivered, or answered anything but "merged" — the
 // pusher asks the tenant (resend) to re-ship its whole ledger from the
-// next seal on (in frame-sized chunks), and the coordinator's ledger
-// heals once that sweep has merged.
+// next seal on (in sorted chunks that fit the frame), and the
+// coordinator's ledger heals once that sweep has merged.
 type deltaPusher struct {
 	push   func(context.Context, []byte) (*transport.MergeResponse, error)
 	resend func(tenant string)

@@ -248,6 +248,22 @@ func (a *Accountant) Export() map[string]float64 {
 	return out
 }
 
+// AppendUsers appends to dst the id of every user with a positive spend
+// (the keys of Export, unordered) and returns the extended slice.
+func (a *Accountant) AppendUsers(dst []string) []string {
+	for i := range a.part {
+		p := &a.part[i]
+		p.mu.Lock()
+		for id, e := range p.rows {
+			if e.spent > 0 {
+				dst = append(dst, id)
+			}
+		}
+		p.mu.Unlock()
+	}
+	return dst
+}
+
 // Restore installs an exported ledger (Export) and bindings
 // (ExportGroups) into an empty accountant, one row per user. Each
 // stripe's map is sized for its share of the users up front, so a

@@ -191,7 +191,7 @@ func TestBindSpendNOneRow(t *testing.T) {
 
 	a.Bind("joined", 0)
 	a.Refund("u", 0.25, 1)
-	if a.Users() != 0 || len(a.Export()) != 0 || a.TotalSpent() != 0 {
+	if a.Users() != 0 || len(a.Export()) != 0 || len(a.AppendUsers(nil)) != 0 || a.TotalSpent() != 0 {
 		t.Fatalf("bindings without spend count as ledger entries: users %d, export %v", a.Users(), a.Export())
 	}
 	if got := a.ExportGroups(); len(got) != 2 || got["u"] != 2 || got["joined"] != 0 {
@@ -213,6 +213,9 @@ func TestBindSpendNOneRow(t *testing.T) {
 	}
 	if a.Users() != 1 {
 		t.Fatalf("Users() = %d, want 1", a.Users())
+	}
+	if got := a.AppendUsers([]string{"x"}); !reflect.DeepEqual(got, []string{"x", "joined"}) {
+		t.Fatalf("AppendUsers = %v, want the one spender appended", got)
 	}
 
 	// A SpendN row has no binding: refunded to zero it disappears.

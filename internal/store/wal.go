@@ -41,8 +41,8 @@ const frameHeaderSize = 8
 const maxRecordBytes = 16 << 20
 
 // readBufBytes is the WAL scan's read buffer: recovery reads the log a
-// MiB per read(2) instead of two reads per record. A record larger than
-// the buffer is read past it into a payload buffer of its own.
+// MiB per read(2) instead of two reads per record. Each payload is copied
+// out of it into walReader.payload, which grows to the largest record.
 const readBufBytes = 1 << 20
 
 // castagnoli is the CRC-32C table used for record and snapshot checksums.
@@ -311,12 +311,12 @@ func decodeRecord(payload []byte, r *Record) error {
 	return nil
 }
 
-// walReader scans segment files through one read buffer and one
-// decoded Record, both reused from record to record and segment to
-// segment.
+// walReader scans segment files through one read buffer, one payload
+// buffer and one decoded Record, all reused from record to record and
+// segment to segment.
 type walReader struct {
 	br      *bufio.Reader
-	payload []byte // records larger than the read buffer
+	payload []byte
 	rec     Record
 }
 
@@ -358,30 +358,15 @@ func (w *walReader) readSegment(fs FS, path string, emit func(*Record)) (good in
 			return good, lsn, true, nil
 		}
 		_, _ = br.Discard(frameHeaderSize)
-		// The payload is a view into the read buffer when it fits
-		// (consumed below, after decoding copies what the record keeps),
-		// and read into its own buffer otherwise.
-		var payload []byte
-		buffered := n <= br.Size()
-		if buffered {
-			if payload, _ = br.Peek(n); len(payload) < n {
-				return good, lsn, true, nil
-			}
-		} else {
-			w.payload = slices.Grow(w.payload[:0], n)[:n]
-			if _, err := io.ReadFull(br, w.payload); err != nil {
-				return good, lsn, true, nil
-			}
-			payload = w.payload
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
+		w.payload = slices.Grow(w.payload[:0], n)[:n]
+		if _, err := io.ReadFull(br, w.payload); err != nil {
 			return good, lsn, true, nil
 		}
-		if err := decodeRecord(payload, &w.rec); err != nil {
+		if crc32.Checksum(w.payload, castagnoli) != crc {
 			return good, lsn, true, nil
 		}
-		if buffered {
-			_, _ = br.Discard(n)
+		if err := decodeRecord(w.payload, &w.rec); err != nil {
+			return good, lsn, true, nil
 		}
 		w.rec.LSN = lsn
 		lsn++

@@ -43,7 +43,7 @@ func StripeOf(user string, shards int) int {
 // their cumulative spend). Installing fn also starts a ledger sweep:
 // charges made before the install — including everything a recovery
 // replayed — were not recorded, so the deltas from the next seal on
-// carry the whole ledger as well, in frame-sized sorted chunks (see
+// carry the whole ledger as well, in sorted chunks that fit the frame (see
 // ResendLedger, which a node calls when a delta fails to merge).
 func (t *Tenant) SetSealHook(fn func(*EpochDelta)) {
 	t.mu.Lock()

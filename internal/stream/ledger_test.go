@@ -401,7 +401,7 @@ func TestLedgerSweepChunksLargeLedger(t *testing.T) {
 	}
 	tn.ResendLedger()
 	deltas := 0
-	for tn.sweeping || deltas == 0 {
+	for tn.sweep != nil || deltas == 0 {
 		if deltas++; deltas > 20 {
 			t.Fatal("sweep did not wrap in 20 seals")
 		}
@@ -420,5 +420,66 @@ func TestLedgerSweepChunksLargeLedger(t *testing.T) {
 	charge(id(7), last, []float64{0})
 	if got, want := seal(true), spendsOf(tn, id(7)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("delta after the sweep ships %d users, want only the charged one", len(got))
+	}
+}
+
+// TestLedgerSweepLeavesRoomForChargedUsers: a sweep chunk fills only
+// what the frame limit leaves after the epoch's charged users, so a seal
+// that charged many users mid-sweep still ships one encodable delta
+// carrying all of them, and the sweep's deltas together still carry the
+// whole ledger.
+func TestLedgerSweepLeavesRoomForChargedUsers(t *testing.T) {
+	cfg, err := ConfigFromSpec(coordSpec(Tumbling))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := NewTenant("t", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 200-byte ids: the 100k-user ledger is about 21 MB of delta
+	// entries, the 70k users charged in the first epoch about 14.7 MB —
+	// less than a frame, but not with a quarter-frame chunk on top.
+	const users, charged = 100_000, 70_000
+	id := func(prefix string, i int) string { return fmt.Sprintf("%s%0199d", prefix, i) }
+	ledger := make(map[string]float64, users)
+	for i := 0; i < users; i++ {
+		ledger[id("a", i)] = 0.25
+	}
+	tn.acct.Restore(ledger, nil)
+	var d *EpochDelta
+	tn.SetSealHook(func(x *EpochDelta) { x.Node = "a"; d = x })
+	last := len(tn.groups) - 1
+	for i := 0; i < charged; i++ {
+		if err := tn.Ingest(id("b", i), last, []float64{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := make(map[string]float64)
+	for deltas := 0; deltas == 0 || tn.sweep != nil; deltas++ {
+		if deltas > 20 {
+			t.Fatal("sweep did not wrap in 20 seals")
+		}
+		_, _ = tn.Rotate()
+		if _, err := wirebin.EncodeDelta(d); err != nil {
+			t.Fatalf("delta %d (%d spends) does not encode: %v", deltas, len(d.Spend), err)
+		}
+		got := spendOf(t, d)
+		if deltas == 0 {
+			for i := 0; i < charged; i++ {
+				if _, ok := got[id("b", i)]; !ok {
+					t.Fatalf("first delta lacks charged user %d", i)
+				}
+			}
+			if len(got) == charged {
+				t.Fatal("first delta carries no sweep chunk")
+			}
+		}
+		for _, e := range d.Spend {
+			merged[e.User] = max(merged[e.User], e.Eps)
+		}
+	}
+	if got, want := ledgerBits(merged), ledgerBits(tn.Accountant().Export()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the sweep's deltas merge to %d users, want the node's %d", len(got), len(want))
 	}
 }

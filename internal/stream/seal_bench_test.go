@@ -8,16 +8,18 @@ import (
 )
 
 // Seal and merge layer benchmarks at a fixed shape: a node tenant whose
-// ledger holds sealLedgerUsers users, sealActiveUsers of whom are
-// charged in each measured epoch. Ids are 17 bytes, like the epoch-merge
-// benchmark's.
+// ledger holds sealLedgerUsers users (sweepLedgerUsers for the ledger
+// sweep), sealActiveUsers of whom are charged in each measured epoch.
+// Ids are 17 bytes, like the epoch-merge benchmark's; a sweep chunk of
+// a quarter frame holds about 155k of them.
 const (
-	sealLedgerUsers = 150_000
-	sealActiveUsers = 10_000
+	sealLedgerUsers  = 150_000
+	sweepLedgerUsers = 600_000
+	sealActiveUsers  = 10_000
 )
 
 // sealNode is one node tenant of the seal benchmarks: its ledger holds
-// sealLedgerUsers users (prefix-numbered); every epoch charges each
+// the given number of users (prefix-numbered); every epoch charges each
 // active user one report in its group, spreading them over all groups.
 type sealNode struct {
 	t      *Tenant
@@ -31,8 +33,8 @@ type sealNode struct {
 // a quarter of their budget, installs a seal hook and seals one charged
 // epoch, so the hook install's full-ledger seal is behind it. Active
 // users hold no spend between epochs: charge adds them to the ledger
-// (sealLedgerUsers at seal time) and refund removes them again.
-func newSealNode(b *testing.B, prefix string) *sealNode {
+// (users at seal time) and refund removes them again.
+func newSealNode(b *testing.B, prefix string, users int) *sealNode {
 	b.Helper()
 	cfg, err := ConfigFromSpec(coordSpec(Tumbling))
 	if err != nil {
@@ -43,10 +45,10 @@ func newSealNode(b *testing.B, prefix string) *sealNode {
 		b.Fatal(err)
 	}
 	n := &sealNode{t: t}
-	ledger := make(map[string]float64, sealLedgerUsers)
-	for i := 0; i < sealLedgerUsers; i++ {
+	ledger := make(map[string]float64, users)
+	for i := 0; i < users; i++ {
 		u := fmt.Sprintf("%s-%015d", prefix, i)
-		if i%(sealLedgerUsers/sealActiveUsers) != 0 {
+		if i%(users/sealActiveUsers) != 0 {
 			ledger[u] = 0.25
 			continue
 		}
@@ -90,7 +92,7 @@ func (n *sealNode) seal() *EpochDelta {
 
 // BenchmarkSealDelta: one node epoch's seal plus the delta encode.
 func BenchmarkSealDelta(b *testing.B) {
-	n := newSealNode(b, "u")
+	n := newSealNode(b, "u", sealLedgerUsers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -108,11 +110,38 @@ func BenchmarkSealDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkSealDeltaSweep: one whole ledger sweep after ResendLedger —
+// the seals and delta encodes of every epoch until the sweep wraps, each
+// epoch charging the active users, over a ledger that takes several
+// chunks.
+func BenchmarkSealDeltaSweep(b *testing.B) {
+	n := newSealNode(b, "u", sweepLedgerUsers)
+	seals := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.t.ResendLedger()
+		for first := true; first || n.t.sweep != nil; first = false {
+			b.StopTimer()
+			n.charge(b)
+			b.StartTimer()
+			if _, err := wirebin.EncodeDelta(n.seal()); err != nil {
+				b.Fatal(err)
+			}
+			seals++
+			b.StopTimer()
+			n.refund()
+			b.StartTimer()
+		}
+	}
+	b.ReportMetric(float64(seals)/float64(b.N), "seals/op")
+}
+
 // BenchmarkCoordinatorApply: two node deltas of one epoch through
 // Coordinator.Apply, the second completing and publishing the epoch.
 // The coordinator's ledger already holds both nodes' users.
 func BenchmarkCoordinatorApply(b *testing.B) {
-	nodes := []*sealNode{newSealNode(b, "a"), newSealNode(b, "b")}
+	nodes := []*sealNode{newSealNode(b, "a", sealLedgerUsers), newSealNode(b, "b", sealLedgerUsers)}
 	ids := []string{"a", "b"}
 	c, err := NewCoordinator(CoordinatorConfig{Nodes: ids})
 	if err != nil {

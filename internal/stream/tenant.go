@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,12 +121,12 @@ type Tenant struct {
 	// (shard.touched) and the seal ships only those users' spends.
 	onSeal func(*EpochDelta)
 	// fullLedger makes the next seal start a ledger sweep (see SetSealHook
-	// and ResendLedger). While sweeping (guarded by mu), each seal's delta
-	// also carries the next chunk of the sorted ledger after sweepFrom,
-	// the last user the previous chunk shipped.
+	// and ResendLedger). sweep (guarded by mu) holds the running sweep's
+	// users not yet shipped: the ledger's ids sorted once when the sweep
+	// starts, nil when no sweep runs. Each seal's delta also carries the
+	// next chunk of them.
 	fullLedger atomic.Bool
-	sweeping   bool
-	sweepFrom  string
+	sweep      []string
 
 	// rotateMu serializes rotations end to end (WAL append + seal +
 	// estimate), so TryRotate can report an in-flight rotation.
@@ -652,18 +651,20 @@ func (t *Tenant) sealLocked() *EpochDelta {
 // sealSpendLocked returns the delta's spend entries, sorted by user: the
 // current cumulative spend of every user the live stripes charged since
 // the previous seal and, while a ledger sweep runs, of the sweep's next
-// chunk of the ledger (see ledgerChunkLocked). The coordinator's
-// per-user max-merge rebuilds the same ledger from either. Caller holds
-// t.mu exclusively, before the live epoch is replaced.
+// chunk of the ledger. The coordinator's per-user max-merge rebuilds the
+// same ledger from either. The chunk fills what the frame limit leaves
+// after the histograms and the charged users, up to ledgerChunkBytes, so
+// a sweep never pushes a delta past MaxDeltaBytes. Users who join the
+// ledger after the sweep started are charged in a later epoch and ship
+// as that epoch's charged users, so the sweep's deltas together carry
+// the whole ledger. Caller holds t.mu exclusively, before the live epoch
+// is replaced.
 func (t *Tenant) sealSpendLocked() []wirebin.SpendEntry {
 	if t.fullLedger.Swap(false) {
 		// (Re)start the sweep: a delta lost mid-sweep may have carried
 		// any chunk so far.
-		t.sweeping, t.sweepFrom = true, ""
-	}
-	var chunk []wirebin.SpendEntry
-	if t.sweeping {
-		chunk = t.ledgerChunkLocked()
+		t.sweep = t.acct.AppendUsers(make([]string, 0, t.acct.Users()))
+		slices.Sort(t.sweep)
 	}
 	n := 0
 	for _, s := range t.live {
@@ -679,71 +680,67 @@ func (t *Tenant) sealSpendLocked() []wirebin.SpendEntry {
 	}
 	slices.Sort(users)
 	users = slices.Compact(users)
-	// Merge the two sorted lists; a user in both ships once (the chunk
-	// read the same ledger: no ingest interleaves under t.mu).
+	var chunk []string
+	if t.sweep != nil {
+		room := wirebin.MaxDeltaBytes - wirebin.DeltaFixedBytes(t.name, t.bkt, len(t.live[0].shards))
+		for _, u := range users {
+			room -= wirebin.DeltaSpendBytes(u)
+		}
+		room = min(room, ledgerChunkBytes)
+		k := 0
+		for ; k < len(t.sweep); k++ {
+			if room -= wirebin.DeltaSpendBytes(t.sweep[k]); room < 0 {
+				break
+			}
+		}
+		chunk, t.sweep = t.sweep[:k], t.sweep[k:]
+		if len(t.sweep) == 0 {
+			t.sweep = nil
+		}
+	}
+	// Merge the two sorted lists; a user in both ships once.
 	spend := make([]wirebin.SpendEntry, 0, len(chunk)+len(users))
-	i := 0
-	for _, u := range users {
-		for i < len(chunk) && chunk[i].User < u {
-			spend = append(spend, chunk[i])
-			i++
-		}
-		if i < len(chunk) && chunk[i].User == u {
-			continue
-		}
+	add := func(u string) {
 		// Users are recorded only once their charge is durable, so a
 		// refunded charge is never listed; the guard still keeps a zero
-		// spend, which the max-merge ignores, off the wire.
+		// spend (a swept user refunded since the sweep started), which
+		// the max-merge ignores, off the wire.
 		if eps := t.acct.Spent(u); eps > 0 {
 			spend = append(spend, wirebin.SpendEntry{User: u, Eps: eps})
 		}
 	}
-	return append(spend, chunk[i:]...)
+	i := 0
+	for _, u := range users {
+		for i < len(chunk) && chunk[i] < u {
+			add(chunk[i])
+			i++
+		}
+		if i < len(chunk) && chunk[i] == u {
+			i++
+		}
+		add(u)
+	}
+	for _, u := range chunk[i:] {
+		add(u)
+	}
+	return spend
 }
 
-// ledgerChunkBytes bounds the wire size of one ledger-sweep chunk, a
-// quarter of a delta frame: a whole ledger of more than about 620k
-// users (17-byte ids) does not fit one frame, and the rest of the frame
-// stays free for the histograms and the epoch's charged users.
+// ledgerChunkBytes caps the wire size of one ledger-sweep chunk at a
+// quarter of a delta frame, so a sweep alone never brings a delta near
+// the frame limit: a coordinator logs each delta in one WAL record,
+// whose limit (store's maxRecordBytes, also 16 MiB) leaves no room for
+// the record's own fields around a full-size frame.
 const ledgerChunkBytes = wirebin.MaxDeltaBytes / 4
-
-// ledgerChunkLocked returns the sweep's next chunk: the ledger's users
-// after sweepFrom in sorted order, with their current spends, up to
-// ledgerChunkBytes of delta entries (and a quarter of MaxDeltaSpends).
-// The chunk that reaches the end of the ledger ends the sweep. Users
-// charged after the sweep passed them are shipped as charged users, so
-// the sweep's deltas together carry the whole ledger. Caller holds t.mu
-// exclusively.
-func (t *Tenant) ledgerChunkLocked() []wirebin.SpendEntry {
-	rest := make([]wirebin.SpendEntry, 0, t.acct.Users())
-	for u, eps := range t.acct.Export() {
-		if u > t.sweepFrom {
-			rest = append(rest, wirebin.SpendEntry{User: u, Eps: eps})
-		}
-	}
-	slices.SortFunc(rest, func(a, b wirebin.SpendEntry) int { return strings.Compare(a.User, b.User) })
-	size := 0
-	for i, e := range rest {
-		// Entry wire size: uvarint length (≤ 2 bytes for any id a wire
-		// accepts), the id, 8 bytes of spend.
-		size += len(e.User) + 10
-		if i > 0 && (size > ledgerChunkBytes || i == wirebin.MaxDeltaSpends/4) {
-			t.sweepFrom = rest[i-1].User
-			return rest[:i]
-		}
-	}
-	t.sweeping = false
-	return rest
-}
 
 // ResendLedger makes the tenant's deltas ship its whole cumulative budget
 // ledger again, on top of the users each seal charged: from the next
 // seal on, in sorted chunks of at most ledgerChunkBytes per delta until
 // the sweep reaches the end of the ledger (a sweep already running
-// restarts). A node calls it when a delta did not merge — dropped
-// before sending, failed to encode or push, or answered late — so the
-// users that delta carried reach the coordinator again. Safe to call
-// from any goroutine, including a seal hook.
+// restarts from the ledger as it stands). A node calls it when a delta
+// did not merge — dropped before sending, failed to encode or push, or
+// answered late — so the users that delta carried reach the coordinator
+// again. Safe to call from any goroutine, including a seal hook.
 func (t *Tenant) ResendLedger() { t.fullLedger.Store(true) }
 
 // replaySeal re-applies a logged rotation during recovery: seal only, no

@@ -113,6 +113,29 @@ type Delta struct {
 	Spend      []SpendEntry
 }
 
+// DeltaSpendBytes bounds the wire bytes of one spend entry of user: its
+// uvarint length (at most 2 bytes for any id up to MaxUserLen), the id
+// and the 8-byte spend.
+func DeltaSpendBytes(user string) int { return 2 + len(user) + 8 }
+
+// DeltaFixedBytes bounds the wire bytes of a delta frame outside its
+// spend entries: the header, the longest node id, the tenant name, each
+// group's histogram with the given bucket count in raw mode (8 bytes per
+// count) and its stripes value sums, the spend count and the trailer. A
+// frame's size is at most DeltaFixedBytes plus DeltaSpendBytes of each
+// spend entry.
+func DeltaFixedBytes(tenant string, buckets []int, stripes int) int {
+	// uvarint prefixes: node and tenant length, groups, stripes (2 bytes
+	// each at their caps), spend count (4 bytes at MaxDeltaSpends).
+	n := deltaHeaderSize + 2 + MaxNodeLen + 2 + len(tenant) + 2 + 2 + 4 + trailerSize
+	for _, b := range buckets {
+		// Bucket count (3 bytes at MaxDeltaBuckets), mode byte, counts
+		// and n, stripe sums.
+		n += 3 + 1 + 8*(b+1) + 8*stripes
+	}
+	return n
+}
+
 // packableScalar reports whether v survives a uvarint round trip.
 func packableScalar(v float64) bool {
 	u := uint64(v)

@@ -92,6 +92,54 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeltaSizeBounds: DeltaFixedBytes plus DeltaSpendBytes of every
+// entry bounds the encoded frame at the field caps (longest node and
+// tenant, raw-mode counts, 255-byte ids) and at small shapes.
+func TestDeltaSizeBounds(t *testing.T) {
+	long := string(bytes.Repeat([]byte{'x'}, MaxUserLen))
+	for _, tc := range []struct {
+		name    string
+		node    string
+		tenant  string
+		buckets []int
+		stripes int
+		raw     bool
+		users   []string
+	}{
+		{"small", "a", "", []int{1}, 1, false, []string{"u"}},
+		{"uvarint counts", "node-a", "default", []int{64, 1024}, 16, false, []string{"alice", "bob"}},
+		{"at the caps", long, long, []int{MaxDeltaBuckets, 3}, 64, true, []string{long, long[1:] + "y", "z"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := &Delta{Node: tc.node, Tenant: tc.tenant, Epoch: math.MaxUint64, Seq: math.MaxUint64}
+			for _, b := range tc.buckets {
+				counts := make([]float64, b)
+				for i := range counts {
+					counts[i] = 1 << 52 // the longest uvarint a packable count takes
+					if tc.raw {
+						counts[i] = 0.5
+					}
+				}
+				d.Counts = append(d.Counts, counts)
+				d.Ns = append(d.Ns, 1<<52)
+				d.StripeSums = append(d.StripeSums, make([]float64, tc.stripes))
+			}
+			bound := DeltaFixedBytes(tc.tenant, tc.buckets, tc.stripes)
+			for _, u := range tc.users {
+				d.Spend = append(d.Spend, SpendEntry{User: u, Eps: 1})
+				bound += DeltaSpendBytes(u)
+			}
+			frame, err := EncodeDelta(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(frame) > bound {
+				t.Fatalf("frame of %d bytes exceeds the bound %d", len(frame), bound)
+			}
+		})
+	}
+}
+
 func TestDeltaEncodeDeterministic(t *testing.T) {
 	a, err := EncodeDelta(testDelta())
 	if err != nil {
